@@ -28,13 +28,13 @@ func TestCheckWarmMatchesCheck(t *testing.T) {
 	cold, warm, key, id := twinBCUs(FailLog)
 	var memo CheckMemo
 	seq := []CheckRequest{
-		req(key, id, 0x1000, 0x1003, false),  // RBT fetch, then caches warm
-		req(key, id, 0x1004, 0x1007, false),  // L1 hit, memo hit
-		req(key, id, 0x13FC, 0x13FF, true),   // last word, store
-		req(key, id, 0x1400, 0x1403, false),  // one past the end: OOB
-		req(key, 9, 0x8000, 0x8003, false),   // different tag: memo misses
-		req(key, 9, 0x8000, 0x8003, true),    // read-only store: violation
-		req(key, id, 0x1008, 0x100B, false),  // back to the first tag
+		req(key, id, 0x1000, 0x1003, false),   // RBT fetch, then caches warm
+		req(key, id, 0x1004, 0x1007, false),   // L1 hit, memo hit
+		req(key, id, 0x13FC, 0x13FF, true),    // last word, store
+		req(key, id, 0x1400, 0x1403, false),   // one past the end: OOB
+		req(key, 9, 0x8000, 0x8003, false),    // different tag: memo misses
+		req(key, 9, 0x8000, 0x8003, true),     // read-only store: violation
+		req(key, id, 0x1008, 0x100B, false),   // back to the first tag
 		req(key, 12345, 0x1000, 0x1003, true), // unknown ID
 	}
 	for i, r := range seq {

@@ -55,7 +55,7 @@ func (b *Buffer) End() uint64 { return b.Base + b.Size }
 type Device struct {
 	Mem *memsys.Backing
 
-	mapped map[uint64]bool // mapped page numbers (PageBytes granule)
+	mapped pageMap // mapped pages (PageBytes granule)
 
 	globalNext uint64
 	svmNext    uint64
@@ -106,7 +106,6 @@ func (d *Device) SetLaunchMutator(fn func(*Launch)) { d.launchMutator = fn }
 func NewDevice(seed int64) *Device {
 	return &Device{
 		Mem:        memsys.NewBacking(),
-		mapped:     make(map[uint64]bool),
 		globalNext: globalBase,
 		svmNext:    svmBase,
 		rbtNext:    rbtBase,
@@ -126,33 +125,26 @@ func nextPow2(v uint64) uint64 {
 	return p
 }
 
-// mapRange marks [base, base+size) as mapped at PageBytes granularity.
+// mapRange marks [base, base+size) as mapped at PageBytes granularity. A
+// zero-size range at a page boundary maps nothing.
 func (d *Device) mapRange(base, size uint64) {
-	for p := base / PageBytes; p <= (base+size-1)/PageBytes; p++ {
-		d.mapped[p] = true
+	first, last := base/PageBytes, (base+size-1)/PageBytes
+	if last >= first {
+		d.mapped.add(first, last)
 	}
 }
 
 // Mapped reports whether the page containing vaddr is mapped; unmapped
 // accesses raise the "illegal memory access" kernel abort of Fig. 4 case 3.
 func (d *Device) Mapped(vaddr uint64) bool {
-	return d.mapped[vaddr/PageBytes]
+	return d.mapped.covers(vaddr/PageBytes, vaddr/PageBytes)
 }
 
 // MappedRange reports whether every page overlapping the byte range
 // [lo, hi] is mapped. Callers must guarantee lo <= hi; the LSU uses this to
-// clear a whole coalesced transaction's page-fault check in one sweep when
-// the warp's addresses span a small contiguous window.
+// clear a whole coalesced transaction's page-fault check in one probe.
 func (d *Device) MappedRange(lo, hi uint64) bool {
-	last := hi / PageBytes
-	for p := lo / PageBytes; ; p++ {
-		if !d.mapped[p] {
-			return false
-		}
-		if p >= last {
-			return true
-		}
-	}
+	return d.mapped.covers(lo/PageBytes, hi/PageBytes)
 }
 
 // Malloc allocates a device buffer (cudaMalloc analogue). Buffers are

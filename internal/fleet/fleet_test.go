@@ -334,6 +334,11 @@ func TestDuplicateDeliveryAbsorbed(t *testing.T) {
 	keys := keysN(10)
 	stats, errs := runAll(context.Background(), c, keys)
 	checkCampaign(t, keys, stats, errs)
+	// The last future completes on the first copy of the last result; its
+	// duplicate may still be in the worker pipe, so wait for it to be read.
+	waitFor(t, 10*time.Second, "every duplicate delivery", func() bool {
+		return c.Stats().DupDeliveries >= len(keys)
+	})
 	s := c.Stats()
 	if s.DupDeliveries < len(keys) {
 		t.Fatalf("double delivery not observed: %+v", s)

@@ -35,10 +35,10 @@ var specialByName = func() map[string]Special {
 // operandJSON is the wire form of an Operand: exactly one field set.
 // OperandNone encodes as JSON null.
 type operandJSON struct {
-	Reg   *int   `json:"reg,omitempty"`
-	Imm   *int64 `json:"imm,omitempty"`
+	Reg   *int    `json:"reg,omitempty"`
+	Imm   *int64  `json:"imm,omitempty"`
 	Spec  *string `json:"spec,omitempty"`
-	Param *int   `json:"param,omitempty"`
+	Param *int    `json:"param,omitempty"`
 }
 
 // MarshalJSON encodes the operand as {"reg":n}, {"imm":n}, {"spec":"%tid.x"},

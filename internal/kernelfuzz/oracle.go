@@ -22,20 +22,20 @@ type FindKind int
 // Finding kinds, ordered roughly by layer: generator self-checks, codec,
 // compiler leg, runtime legs.
 const (
-	FindGenInvalid     FindKind = iota // generated kernel failed Build/Validate
-	FindTruthInvariant                 // taint reached an address/branch: truth unsound
-	FindPlantInert                     // planted fault produced no OOB in ground truth
-	FindValidateGap                    // malformed kernel accepted, or wrong sentinel
-	FindCodecMismatch                  // JSON round-trip not lossless
-	FindAnalyzeError                   // compiler.Analyze rejected a valid kernel
-	FindCompilerUnsound                // StaticSafe access is OOB in ground truth
-	FindCompilerFalseOOB               // StaticOOB access executes in bounds
-	FindShieldMissed                   // ModeShield: truth says OOB, BCU silent
-	FindShieldSpurious                 // ModeShield: BCU flagged an in-bounds access
-	FindStaticMissed                   // ModeShieldStatic: expected violation absent
-	FindStaticSpurious                 // ModeShieldStatic: unexpected violation
-	FindRunAbort                       // launch aborted (fault, watchdog, deadlock)
-	FindPanic                          // simulator/driver panicked
+	FindGenInvalid       FindKind = iota // generated kernel failed Build/Validate
+	FindTruthInvariant                   // taint reached an address/branch: truth unsound
+	FindPlantInert                       // planted fault produced no OOB in ground truth
+	FindValidateGap                      // malformed kernel accepted, or wrong sentinel
+	FindCodecMismatch                    // JSON round-trip not lossless
+	FindAnalyzeError                     // compiler.Analyze rejected a valid kernel
+	FindCompilerUnsound                  // StaticSafe access is OOB in ground truth
+	FindCompilerFalseOOB                 // StaticOOB access executes in bounds
+	FindShieldMissed                     // ModeShield: truth says OOB, BCU silent
+	FindShieldSpurious                   // ModeShield: BCU flagged an in-bounds access
+	FindStaticMissed                     // ModeShieldStatic: expected violation absent
+	FindStaticSpurious                   // ModeShieldStatic: unexpected violation
+	FindRunAbort                         // launch aborted (fault, watchdog, deadlock)
+	FindPanic                            // simulator/driver panicked
 )
 
 func (k FindKind) String() string {

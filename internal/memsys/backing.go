@@ -2,9 +2,12 @@ package memsys
 
 import "encoding/binary"
 
-// chunkBytes is the allocation granule of the backing store. It is an
+// chunkBytes is the allocation granule of the backing store: one 4 KB
+// page. Sparse writes are the case that sets it: a launch writes a few
+// 16-byte RBT entries at random IDs of a fresh 256 KB table, and each
+// touched granule is materialized and zeroed in full. The value is an
 // implementation detail independent of the architectural page size.
-const chunkBytes = 1 << 16
+const chunkBytes = 1 << 12
 
 // Backing is the byte-addressable storage behind simulated device memory.
 // It is sparse: chunks materialize on first touch, so a 48-bit address space

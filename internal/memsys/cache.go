@@ -30,22 +30,98 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
+// cacheLine is one way of a set. lastUse == 0 marks an invalid line: every
+// fill and hit stamps the owner's tick, which is incremented first and so is
+// at least 1, so a valid line never carries 0.
 type cacheLine struct {
 	tag     uint64
-	valid   bool
 	lastUse uint64
 }
+
+// lruSets is the set-associative LRU core shared by Cache and TLB: one flat
+// line array of numSets × ways, set s occupying lines[s*ways : (s+1)*ways].
+// Keys are addresses shifted right by the granule (line or page) bits.
+type lruSets struct {
+	lines   []cacheLine
+	numSets uint64
+	ways    int
+	shift   uint
+	useTick uint64
+	Stats   CacheStats
+}
+
+func newLRUSets(numSets, ways, granuleBytes int) lruSets {
+	s := lruSets{lines: make([]cacheLine, numSets*ways), numSets: uint64(numSets), ways: ways}
+	for b := granuleBytes; b > 1; b >>= 1 {
+		s.shift++
+	}
+	return s
+}
+
+// set returns the ways of the set key maps to.
+func (s *lruSets) set(key uint64) []cacheLine {
+	base := int(key%s.numSets) * s.ways
+	return s.lines[base : base+s.ways : base+s.ways]
+}
+
+// Access looks up addr and updates LRU state, allocating on a miss
+// (allocate-on-miss for both reads and writes). It reports whether the
+// access hit. Access is the apply half of the probe/apply split: it mutates
+// LRU state and statistics, so under the two-phase scheduler it must only
+// run in the serial commit phase.
+func (s *lruSets) Access(addr uint64) bool {
+	s.useTick++
+	s.Stats.Accesses++
+	key := addr >> s.shift
+	set := s.set(key)
+	if i := lookup(set, key); i >= 0 {
+		set[i].lastUse = s.useTick
+		s.Stats.Hits++
+		return true
+	}
+	s.Stats.Misses++
+	// Victim: the last invalid way, otherwise the least recently used. An
+	// invalid way's lastUse of 0 is below every valid stamp, and valid
+	// stamps are distinct, so "<=" selects exactly that.
+	victim := 0
+	for i := range set {
+		if set[i].lastUse <= set[victim].lastUse {
+			victim = i
+		}
+	}
+	set[victim] = cacheLine{tag: key, lastUse: s.useTick}
+	return false
+}
+
+// Probe reports whether addr is resident without changing any state: no
+// LRU update, no allocation, no statistics. It is the read-only half of the
+// probe/apply split the simulator's two-phase scheduler relies on: a
+// parallel planning phase may Probe shared caches and TLBs freely, while
+// mutation is reserved for the serial commit phase.
+func (s *lruSets) Probe(addr uint64) bool {
+	key := addr >> s.shift
+	return lookup(s.set(key), key) >= 0
+}
+
+// lookup returns the way of set holding key, or -1.
+func lookup(set []cacheLine, key uint64) int {
+	for i := range set {
+		if set[i].tag == key && set[i].lastUse != 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+// Flush invalidates every line (kernel termination / context switch).
+func (s *lruSets) Flush() { clear(s.lines) }
 
 // Cache is a set-associative LRU cache model. It tracks presence only — data
 // contents live in the backing store — which is the standard structure for
 // timing simulation.
 type Cache struct {
-	cfg      CacheConfig
-	sets     [][]cacheLine
-	numSets  uint64
-	lineBits uint
-	useTick  uint64
-	Stats    CacheStats
+	cfg CacheConfig
+	lruSets
 }
 
 // Validate reports whether the geometry describes a constructible cache.
@@ -71,15 +147,7 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 		return nil, err
 	}
 	numSets := cfg.SizeBytes / cfg.LineBytes / cfg.Ways
-	c := &Cache{cfg: cfg, numSets: uint64(numSets)}
-	c.sets = make([][]cacheLine, numSets)
-	for i := range c.sets {
-		c.sets[i] = make([]cacheLine, cfg.Ways)
-	}
-	for b := cfg.LineBytes; b > 1; b >>= 1 {
-		c.lineBits++
-	}
-	return c, nil
+	return &Cache{cfg: cfg, lruSets: newLRUSets(numSets, cfg.Ways, cfg.LineBytes)}, nil
 }
 
 // MustCache is NewCache for the built-in simulator presets, whose geometries
@@ -97,57 +165,6 @@ func (c *Cache) Config() CacheConfig { return c.cfg }
 
 // LineAddr returns the line-aligned address containing addr.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr &^ uint64(c.cfg.LineBytes-1) }
-
-// Access looks up addr and updates LRU state, allocating the line on a miss
-// (allocate-on-miss for both reads and writes). It reports whether the
-// access hit.
-func (c *Cache) Access(addr uint64) bool {
-	c.useTick++
-	c.Stats.Accesses++
-	tag := addr >> c.lineBits
-	set := c.sets[tag%c.numSets]
-	victim := 0
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].lastUse = c.useTick
-			c.Stats.Hits++
-			return true
-		}
-		if !set[i].valid {
-			victim = i
-		} else if set[victim].valid && set[i].lastUse < set[victim].lastUse {
-			victim = i
-		}
-	}
-	c.Stats.Misses++
-	set[victim] = cacheLine{tag: tag, valid: true, lastUse: c.useTick}
-	return false
-}
-
-// Probe reports whether addr is resident without changing any state: no
-// LRU update, no allocation, no statistics. It is the read-only half of the
-// probe/apply split (Access is the apply half) the simulator's two-phase
-// scheduler relies on: a parallel planning phase may Probe shared caches
-// freely, while mutation is reserved for the serial commit phase.
-func (c *Cache) Probe(addr uint64) bool {
-	tag := addr >> c.lineBits
-	set := c.sets[tag%c.numSets]
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
-// Flush invalidates all lines (kernel termination / context switch).
-func (c *Cache) Flush() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = cacheLine{}
-		}
-	}
-}
 
 // HitLatency returns the configured hit latency in cycles.
 func (c *Cache) HitLatency() int { return c.cfg.HitLatency }

@@ -14,12 +14,8 @@ type TLBConfig struct {
 // simulator uses identity virtual→physical mapping and charges translation
 // latency on misses.
 type TLB struct {
-	cfg      TLBConfig
-	sets     [][]cacheLine
-	numSets  uint64
-	pageBits uint
-	useTick  uint64
-	Stats    CacheStats
+	cfg TLBConfig
+	lruSets
 }
 
 // Validate reports whether the geometry describes a constructible TLB.
@@ -41,16 +37,7 @@ func NewTLB(cfg TLBConfig) (*TLB, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	numSets := cfg.Entries / cfg.Ways
-	t := &TLB{cfg: cfg, numSets: uint64(numSets)}
-	t.sets = make([][]cacheLine, numSets)
-	for i := range t.sets {
-		t.sets[i] = make([]cacheLine, cfg.Ways)
-	}
-	for b := cfg.PageBytes; b > 1; b >>= 1 {
-		t.pageBits++
-	}
-	return t, nil
+	return &TLB{cfg: cfg, lruSets: newLRUSets(cfg.Entries/cfg.Ways, cfg.Ways, cfg.PageBytes)}, nil
 }
 
 // MustTLB is NewTLB for the built-in simulator presets; it panics on error
@@ -65,56 +52,3 @@ func MustTLB(cfg TLBConfig) *TLB {
 
 // Config returns the TLB geometry.
 func (t *TLB) Config() TLBConfig { return t.cfg }
-
-// Probe reports whether the translation for vaddr is resident without
-// changing any state: no LRU update, no allocation, no statistics. It is
-// the read-only half of the probe/apply split the simulator's two-phase
-// scheduler relies on — a parallel planning phase may Probe shared
-// structures freely, while the mutating Access is reserved for the serial
-// commit phase.
-func (t *TLB) Probe(vaddr uint64) bool {
-	vpn := vaddr >> t.pageBits
-	set := t.sets[vpn%t.numSets]
-	for i := range set {
-		if set[i].valid && set[i].tag == vpn {
-			return true
-		}
-	}
-	return false
-}
-
-// Access translates the page containing vaddr, reporting whether the
-// translation hit. Misses allocate the entry. Access is the apply half of
-// the probe/apply split: it mutates LRU state and statistics, so under the
-// two-phase scheduler it must only run in the serial commit phase.
-func (t *TLB) Access(vaddr uint64) bool {
-	t.useTick++
-	t.Stats.Accesses++
-	vpn := vaddr >> t.pageBits
-	set := t.sets[vpn%t.numSets]
-	victim := 0
-	for i := range set {
-		if set[i].valid && set[i].tag == vpn {
-			set[i].lastUse = t.useTick
-			t.Stats.Hits++
-			return true
-		}
-		if !set[i].valid {
-			victim = i
-		} else if set[victim].valid && set[i].lastUse < set[victim].lastUse {
-			victim = i
-		}
-	}
-	t.Stats.Misses++
-	set[victim] = cacheLine{tag: vpn, valid: true, lastUse: t.useTick}
-	return false
-}
-
-// Flush invalidates all entries.
-func (t *TLB) Flush() {
-	for _, set := range t.sets {
-		for i := range set {
-			set[i] = cacheLine{}
-		}
-	}
-}

@@ -507,7 +507,7 @@ func (c *coreState) checkTransaction(w *warp, in *kernel.Instr, gmask uint64, pr
 // execShared handles on-chip scratchpad accesses: fixed latency, no
 // LSU/BCU involvement.
 func (c *coreState) execShared(w *warp, in *kernel.Instr, gmask uint64, now uint64) {
-	st := w.wg.run.stats
+	st := c.statsFor(w.wg.run)
 	sh := w.wg.shared
 	p0 := c.plan(w, in.Src[0])
 	p2 := c.plan(w, in.Src[2])
