@@ -159,7 +159,32 @@ func NewBCU(cfg BCUConfig) *BCU {
 		b.l1 = append(b.l1, NewL1RCache(cfg.L1Entries))
 		b.l2 = append(b.l2, NewL2RCache(cfg.L2Entries))
 	}
+	b.reset()
 	return b
+}
+
+// Reset returns the BCU to the state NewBCU(cfg) builds: both RCache levels
+// empty with cleared statistics, no kernel installed, an empty violation
+// log and no fault. The configuration and the RBT fetch path are kept.
+// gen moves forward, never back, so no CheckMemo stamped before the reset
+// can match afterwards.
+func (b *BCU) Reset() {
+	for i := range b.l1 {
+		b.l1[i].Reset()
+		b.l2[i].Reset()
+	}
+	b.reset()
+}
+
+// reset writes the initial values of the BCU's own fields; NewBCU calls it
+// on freshly built RCaches, Reset after resetting them.
+func (b *BCU) reset() {
+	clear(b.kernels)
+	b.Stats = BCUStats{}
+	b.violations = b.violations[:0]
+	b.faulted = false
+	b.fault = Violation{}
+	b.gen++
 }
 
 // bank selects the RCache partition for a kernel (§6.2: kernels map to

@@ -42,7 +42,9 @@ func NewL1RCache(n int) *L1RCache {
 	if n <= 0 {
 		n = 1
 	}
-	return &L1RCache{entries: make([]RCacheEntry, n)}
+	c := &L1RCache{entries: make([]RCacheEntry, n)}
+	c.Reset()
+	return c
 }
 
 // Lookup probes the cache for (kernelID, id).
@@ -66,10 +68,15 @@ func (c *L1RCache) Insert(kernelID, id uint16, b Bounds) {
 
 // Flush invalidates all entries (kernel termination / context switch).
 func (c *L1RCache) Flush() {
-	for i := range c.entries {
-		c.entries[i] = RCacheEntry{}
-	}
+	clear(c.entries)
 	c.next = 0
+}
+
+// Reset returns the cache to its constructed state: flushed, with the
+// statistics cleared.
+func (c *L1RCache) Reset() {
+	c.Flush()
+	c.Stats = RCacheStats{}
 }
 
 // Entries returns the capacity.
@@ -90,7 +97,9 @@ func NewL2RCache(n int) *L2RCache {
 	if n <= 0 {
 		n = 1
 	}
-	return &L2RCache{entries: make([]RCacheEntry, n), lastUse: make([]uint64, n)}
+	c := &L2RCache{entries: make([]RCacheEntry, n), lastUse: make([]uint64, n)}
+	c.Reset()
+	return c
 }
 
 // Lookup probes the cache for (kernelID, id).
@@ -125,12 +134,19 @@ func (c *L2RCache) Insert(kernelID, id uint16, b Bounds) {
 	c.lastUse[victim] = c.tick
 }
 
-// Flush invalidates all entries.
+// Flush invalidates all entries. The LRU clock and the statistics keep
+// running.
 func (c *L2RCache) Flush() {
-	for i := range c.entries {
-		c.entries[i] = RCacheEntry{}
-		c.lastUse[i] = 0
-	}
+	clear(c.entries)
+	clear(c.lastUse)
+}
+
+// Reset returns the cache to its constructed state: flushed, with the LRU
+// clock at zero and the statistics cleared.
+func (c *L2RCache) Reset() {
+	c.Flush()
+	c.tick = 0
+	c.Stats = RCacheStats{}
 }
 
 // Entries returns the capacity.

@@ -104,14 +104,42 @@ func (d *Device) SetLaunchMutator(fn func(*Launch)) { d.launchMutator = fn }
 // and key generation deterministic for reproducible experiments; use
 // different seeds to observe different random ID assignments.
 func NewDevice(seed int64) *Device {
-	return &Device{
-		Mem:        memsys.NewBacking(),
-		globalNext: globalBase,
-		svmNext:    svmBase,
-		rbtNext:    rbtBase,
-		localNext:  localBase,
-		rng:        rand.New(rand.NewSource(seed)),
-	}
+	d := &Device{Mem: memsys.NewBacking(), rng: rand.New(rand.NewSource(seed))}
+	d.reset()
+	return d
+}
+
+// Reset returns the device to exactly the state NewDevice(seed) builds: the
+// backing store is emptied, every allocator, the page map, the heap, the ID
+// budget, RBT recycling and the launch mutator go back to their defaults,
+// and the ID/key generator is re-seeded (rand.Rand.Seed yields the same
+// sequence as a new rand.NewSource(seed)). Buffers handed out before the
+// reset must not be used after it. The page map, chunk map and record
+// slices keep their allocations.
+func (d *Device) Reset(seed int64) {
+	d.Mem.Reset()
+	d.rng.Seed(seed)
+	d.reset()
+}
+
+// reset writes the initial values of the allocator state; NewDevice calls it
+// on a fresh backing store, Reset after emptying the old one.
+func (d *Device) reset() {
+	d.mapped = d.mapped[:0]
+	d.globalNext = globalBase
+	d.svmNext = svmBase
+	d.rbtNext = rbtBase
+	d.localNext = localBase
+	d.heap = nil
+	d.heapNext = 0
+	d.heapLimit = 0
+	d.heapChunks = d.heapChunks[:0]
+	d.fineGrainHeap = false
+	d.idBudget = 0
+	d.rbtRecycle = false
+	d.rbtRegion = 0
+	d.rbtIDs = d.rbtIDs[:0]
+	d.launchMutator = nil
 }
 
 func align(v, a uint64) uint64 { return (v + a - 1) &^ (a - 1) }

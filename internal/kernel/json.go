@@ -10,6 +10,8 @@ package kernel
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
+	"unicode/utf8"
 )
 
 // opByName inverts opNames for decoding.
@@ -118,11 +120,10 @@ type instrJSON struct {
 // MarshalJSON encodes the instruction with its opcode mnemonic and only the
 // fields its opcode uses; trailing None source operands are trimmed.
 func (in Instr) MarshalJSON() ([]byte, error) {
-	name := opNames[in.Op]
-	if int(in.Op) >= len(opNames) || name == "" {
+	if int(in.Op) >= len(opNames) || opNames[in.Op] == "" {
 		return nil, fmt.Errorf("kernel: marshal: opcode %d undefined", in.Op)
 	}
-	w := instrJSON{Op: name, PNeg: in.PNeg}
+	w := instrJSON{Op: opNames[in.Op], PNeg: in.PNeg}
 	if in.Dst != -1 {
 		w.Dst = &in.Dst
 	}
@@ -254,9 +255,272 @@ func (p *ParamKind) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// EncodeJSON serializes the kernel (indented, stable field order).
+// EncodeJSON serializes the kernel (indented, stable field order). The
+// output is exactly json.MarshalIndent(k, "", "  ") — the MarshalJSON
+// methods above are the reference — but it is appended into one buffer
+// instead of marshaling every instruction and operand through reflection.
+// A kernel with an undefined opcode, space, special, operand kind or
+// parameter kind goes to encoding/json, which reports the error.
 func (k *Kernel) EncodeJSON() ([]byte, error) {
-	return json.MarshalIndent(k, "", "  ")
+	e := kernelEncoder{buf: make([]byte, 0, 256+160*len(k.Code))}
+	if !e.kernel(k) {
+		return json.MarshalIndent(k, "", "  ")
+	}
+	return e.buf, nil
+}
+
+// kernelEncoder appends the indented JSON form of a kernel. Each method
+// reports false for a value MarshalJSON would reject.
+type kernelEncoder struct{ buf []byte }
+
+// field starts an object member at depth: the separating comma unless it is
+// the first member, a new indented line, and the key. Keys are plain ASCII
+// identifiers and need no escaping.
+func (e *kernelEncoder) field(depth int, first bool, key string) {
+	if !first {
+		e.buf = append(e.buf, ',')
+	}
+	e.newline(depth)
+	e.buf = append(e.buf, '"')
+	e.buf = append(e.buf, key...)
+	e.buf = append(e.buf, `": `...)
+}
+
+func (e *kernelEncoder) newline(depth int) {
+	e.buf = append(e.buf, '\n')
+	for ; depth > 0; depth-- {
+		e.buf = append(e.buf, "  "...)
+	}
+}
+
+func (e *kernelEncoder) int(v int64) { e.buf = strconv.AppendInt(e.buf, v, 10) }
+
+func (e *kernelEncoder) bool(v bool) { e.buf = strconv.AppendBool(e.buf, v) }
+
+// list appends an array of n elements at depth, or null for a nil slice;
+// elem appends element i, whose members sit one level deeper.
+func (e *kernelEncoder) list(depth, n int, isNil bool, elem func(i int) bool) bool {
+	switch {
+	case isNil:
+		e.buf = append(e.buf, "null"...)
+		return true
+	case n == 0:
+		e.buf = append(e.buf, "[]"...)
+		return true
+	}
+	e.buf = append(e.buf, '[')
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			e.buf = append(e.buf, ',')
+		}
+		e.newline(depth + 1)
+		if !elem(i) {
+			return false
+		}
+	}
+	e.newline(depth)
+	e.buf = append(e.buf, ']')
+	return true
+}
+
+func (e *kernelEncoder) kernel(k *Kernel) bool {
+	e.buf = append(e.buf, '{')
+	e.field(1, true, "Name")
+	e.buf = appendJSONString(e.buf, k.Name)
+	e.field(1, false, "Params")
+	if !e.list(1, len(k.Params), k.Params == nil, func(i int) bool {
+		p := &k.Params[i]
+		e.buf = append(e.buf, '{')
+		e.field(3, true, "Name")
+		e.buf = appendJSONString(e.buf, p.Name)
+		e.field(3, false, "Kind")
+		switch p.Kind {
+		case ParamScalar:
+			e.buf = append(e.buf, `"scalar"`...)
+		case ParamBuffer:
+			e.buf = append(e.buf, `"buffer"`...)
+		default:
+			return false
+		}
+		e.field(3, false, "ReadOnly")
+		e.bool(p.ReadOnly)
+		e.newline(2)
+		e.buf = append(e.buf, '}')
+		return true
+	}) {
+		return false
+	}
+	e.field(1, false, "Locals")
+	e.list(1, len(k.Locals), k.Locals == nil, func(i int) bool {
+		lv := &k.Locals[i]
+		e.buf = append(e.buf, '{')
+		e.field(3, true, "Name")
+		e.buf = appendJSONString(e.buf, lv.Name)
+		e.field(3, false, "Bytes")
+		e.int(int64(lv.Bytes))
+		e.newline(2)
+		e.buf = append(e.buf, '}')
+		return true
+	})
+	e.field(1, false, "SharedBytes")
+	e.int(int64(k.SharedBytes))
+	e.field(1, false, "NumRegs")
+	e.int(int64(k.NumRegs))
+	e.field(1, false, "Code")
+	if !e.list(1, len(k.Code), k.Code == nil, func(i int) bool { return e.instr(&k.Code[i]) }) {
+		return false
+	}
+	e.newline(0)
+	e.buf = append(e.buf, '}')
+	return true
+}
+
+// instr appends one Code element (members at depth 3), mirroring
+// Instr.MarshalJSON field for field.
+func (e *kernelEncoder) instr(in *Instr) bool {
+	if int(in.Op) >= len(opNames) || opNames[in.Op] == "" {
+		return false
+	}
+	e.buf = append(e.buf, '{')
+	e.field(3, true, "op")
+	e.buf = appendJSONString(e.buf, opNames[in.Op])
+	if in.Dst != -1 {
+		e.field(3, false, "dst")
+		e.int(int64(in.Dst))
+	}
+	last := -1
+	for i, src := range in.Src {
+		if src.Kind != OperandNone {
+			last = i
+		}
+	}
+	if last >= 0 {
+		e.field(3, false, "src")
+		if !e.list(3, last+1, false, func(i int) bool { return e.operand(in.Src[i]) }) {
+			return false
+		}
+	}
+	if in.Pred != -1 {
+		e.field(3, false, "pred")
+		e.int(int64(in.Pred))
+	}
+	if in.PNeg {
+		e.field(3, false, "pneg")
+		e.bool(true)
+	}
+	if in.Op.IsMemory() {
+		if in.Space > SpaceShared {
+			return false
+		}
+		e.field(3, false, "space")
+		e.buf = appendJSONString(e.buf, in.Space.String())
+		if in.Bytes != 0 {
+			e.field(3, false, "bytes")
+			e.int(int64(in.Bytes))
+		}
+		if in.F32 {
+			e.field(3, false, "f32")
+			e.bool(true)
+		}
+	}
+	if in.Op.IsBranch() {
+		e.field(3, false, "label")
+		e.int(int64(in.Label))
+		if in.Reconv != 0 {
+			e.field(3, false, "reconv")
+			e.int(int64(in.Reconv))
+		}
+	}
+	e.newline(2)
+	e.buf = append(e.buf, '}')
+	return true
+}
+
+// operand appends one src element (its single member at depth 5), mirroring
+// Operand.MarshalJSON.
+func (e *kernelEncoder) operand(o Operand) bool {
+	if o.Kind == OperandNone {
+		e.buf = append(e.buf, "null"...)
+		return true
+	}
+	e.buf = append(e.buf, '{')
+	switch o.Kind {
+	case OperandReg:
+		e.field(5, true, "reg")
+		e.int(int64(o.Reg))
+	case OperandImm:
+		e.field(5, true, "imm")
+		e.int(o.Imm)
+	case OperandSpecial:
+		if int(o.Special) >= NumSpecials {
+			return false
+		}
+		e.field(5, true, "spec")
+		e.buf = appendJSONString(e.buf, o.Special.String())
+	case OperandParam:
+		e.field(5, true, "param")
+		e.int(int64(o.Param))
+	default:
+		return false
+	}
+	e.newline(4)
+	e.buf = append(e.buf, '}')
+	return true
+}
+
+// appendJSONString appends s as a JSON string the way encoding/json does
+// with its default HTML escaping: '"' and '\' are backslash-escaped, \b,
+// \f, \n, \r and \t use their short forms, other control bytes and
+// '<', '>' and '&' become \u00XX, invalid UTF-8 becomes \ufffd, and
+// U+2028/U+2029 are escaped.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
 
 // DecodeJSON parses a kernel serialized by EncodeJSON and validates it.

@@ -211,7 +211,9 @@ func EntryFromCase(ctx context.Context, c *Case, name, note string, opts oracleO
 	// and Type-3 maps, pointer classes).
 	e.Expect.StaticSkip = staticSkip
 	if !staticSkip {
-		_, launches, err := deviceRun(ctx, c, kernels, analyses, driver.ModeShieldStatic, opts)
+		hw := acquireHardware(legConfig(opts), legSeed(c, driver.ModeShieldStatic))
+		_, launches, err := deviceRun(ctx, hw, c, kernels, analyses, driver.ModeShieldStatic)
+		hardwarePool.Put(hw)
 		if err != nil {
 			return nil, fmt.Errorf("deriving static expectations: %w", err)
 		}

@@ -71,7 +71,8 @@ func TestPlantedFaultsDetectedByBCU(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		stats, _, err := deviceRun(context.Background(), c, kernels, nil, driver.ModeShield, oracleOpts{}.normalized())
+		hw := newHardware(legConfig(oracleOpts{}.normalized()), legSeed(c, driver.ModeShield))
+		stats, _, err := deviceRun(context.Background(), hw, c, kernels, nil, driver.ModeShield)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"sync"
 
 	"gpushield/internal/compiler"
 	"gpushield/internal/core"
@@ -284,16 +285,54 @@ func launchInfo(c *Case, li int) compiler.LaunchInfo {
 	return info
 }
 
-// deviceRun is the shared launch path: fresh device + GPU, buffers
-// allocated in case order, launches run sequentially. It returns per-launch
-// stats and the prepared launches (for SkipCheck/Type3Instr/class bits).
-func deviceRun(ctx context.Context, c *Case, kernels []*kernel.Kernel, analyses []*compiler.Analysis, mode driver.Mode, opts oracleOpts) ([]*sim.LaunchStats, []*driver.Launch, error) {
+// hardware is the simulated device + GPU pair one runtime leg runs on.
+type hardware struct {
+	dev *driver.Device
+	gpu *sim.GPU
+}
+
+// newHardware builds a pair from scratch.
+func newHardware(cfg sim.Config, seed int64) *hardware {
+	dev := driver.NewDevice(seed)
+	return &hardware{dev: dev, gpu: sim.New(cfg, dev)}
+}
+
+// hardwarePool recycles pairs across legs, cases and workers. Building a
+// GPU is most of a leg's set-up cost, and a reset pair is exactly a new one
+// (driver.Device.Reset, sim.GPU.Reset).
+var hardwarePool sync.Pool
+
+// acquireHardware returns a pair in exactly the state newHardware(cfg, seed)
+// builds, resetting a pooled pair when one with the same configuration is
+// available.
+func acquireHardware(cfg sim.Config, seed int64) *hardware {
+	if hw, ok := hardwarePool.Get().(*hardware); ok && hw.gpu.Config() == cfg {
+		hw.dev.Reset(seed)
+		hw.gpu.Reset()
+		return hw
+	}
+	return newHardware(cfg, seed)
+}
+
+// legConfig is the GPU every runtime leg runs on.
+func legConfig(opts oracleOpts) sim.Config {
 	cfg := sim.NvidiaConfig().WithShield(core.DefaultBCUConfig())
 	cfg.MaxCycles = opts.MaxCycles
 	cfg.CoreParallel = opts.CoreParallel
-	dev := driver.NewDevice(caseSeed(c.Seed, c.Index, uint64(0xD0+mode)))
-	gpu := sim.New(cfg, dev)
+	return cfg
+}
 
+// legSeed is the device seed of one case's runtime leg under mode.
+func legSeed(c *Case, mode driver.Mode) int64 {
+	return caseSeed(c.Seed, c.Index, uint64(0xD0+mode))
+}
+
+// deviceRun is the shared launch path: on hw, which must be in its fresh
+// state, buffers are allocated in case order and the launches run
+// sequentially. It returns per-launch stats and the prepared launches (for
+// SkipCheck/Type3Instr/class bits).
+func deviceRun(ctx context.Context, hw *hardware, c *Case, kernels []*kernel.Kernel, analyses []*compiler.Analysis, mode driver.Mode) ([]*sim.LaunchStats, []*driver.Launch, error) {
+	dev, gpu := hw.dev, hw.gpu
 	bufs := make([]*driver.Buffer, len(c.Bufs))
 	for i, spec := range c.Bufs {
 		bufs[i] = dev.Malloc(spec.Name, spec.Size(), spec.ReadOnly)
@@ -338,9 +377,19 @@ func deviceRun(ctx context.Context, c *Case, kernels []*kernel.Kernel, analyses 
 	return stats, launches, nil
 }
 
-// runtimeLeg runs every launch under the given mode and diffs the BCU's
-// per-PC violation set against the expectation derived from ground truth.
+// runtimeLeg runs every launch under the given mode on pooled hardware and
+// judges the result. The pair goes back to the pool only when deviceRun
+// returns: a leg that panics drops its pair.
 func runtimeLeg(ctx context.Context, c *Case, kernels []*kernel.Kernel, analyses []*compiler.Analysis, mode driver.Mode, truth map[int]*SiteTruth, opts oracleOpts) []Finding {
+	hw := acquireHardware(legConfig(opts), legSeed(c, mode))
+	stats, launches, err := deviceRun(ctx, hw, c, kernels, analyses, mode)
+	hardwarePool.Put(hw)
+	return judgeLeg(c, mode, truth, stats, launches, err)
+}
+
+// judgeLeg diffs the BCU's per-PC violation set of one runtime leg against
+// the expectation derived from ground truth.
+func judgeLeg(c *Case, mode driver.Mode, truth map[int]*SiteTruth, stats []*sim.LaunchStats, launches []*driver.Launch, err error) []Finding {
 	var findings []Finding
 	missKind, spurKind := FindShieldMissed, FindShieldSpurious
 	if mode == driver.ModeShieldStatic {
@@ -353,7 +402,6 @@ func runtimeLeg(ctx context.Context, c *Case, kernels []*kernel.Kernel, analyses
 		})
 	}
 
-	stats, launches, err := deviceRun(ctx, c, kernels, analyses, mode, opts)
 	if err != nil {
 		find(FindRunAbort, -1, -1, -1, "mode %s: %v", mode, err)
 		return findings

@@ -25,7 +25,17 @@ type Backing struct {
 
 // NewBacking returns an empty backing store.
 func NewBacking() *Backing {
-	return &Backing{chunks: make(map[uint64][]byte)}
+	m := &Backing{chunks: make(map[uint64][]byte)}
+	m.Reset()
+	return m
+}
+
+// Reset empties the store: every chunk is dropped (so its memory can be
+// collected) along with the one-entry chunk cache. The map keeps its buckets.
+func (m *Backing) Reset() {
+	clear(m.chunks)
+	m.lastBase = 0
+	m.lastChunk = nil
 }
 
 // chunk returns the backing chunk containing addr, materializing it on

@@ -55,6 +55,7 @@ func newLRUSets(numSets, ways, granuleBytes int) lruSets {
 	for b := granuleBytes; b > 1; b >>= 1 {
 		s.shift++
 	}
+	s.Reset()
 	return s
 }
 
@@ -113,8 +114,23 @@ func lookup(set []cacheLine, key uint64) int {
 	return -1
 }
 
-// Flush invalidates every line (kernel termination / context switch).
+// Flush invalidates every line (kernel termination / context switch). The
+// LRU clock and the statistics keep running.
 func (s *lruSets) Flush() { clear(s.lines) }
+
+// Reset returns the structure to its constructed state: every line invalid,
+// the LRU clock at zero and the statistics cleared. The line array is kept.
+// Only Access fills a line, and it advances the clock first, so a clock at
+// zero means every line is still invalid and the array is left untouched:
+// a new structure's pages stay unwritten (the 256 KB L2 array of a GPU
+// becomes resident only as lines fill), and an unused cache resets for free.
+func (s *lruSets) Reset() {
+	if s.useTick != 0 {
+		s.Flush()
+	}
+	s.useTick = 0
+	s.Stats = CacheStats{}
+}
 
 // Cache is a set-associative LRU cache model. It tracks presence only — data
 // contents live in the backing store — which is the standard structure for

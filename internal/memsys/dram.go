@@ -56,7 +56,17 @@ func NewDRAM(cfg DRAMConfig) *DRAM {
 	for i := range d.banks {
 		d.banks[i] = make([]dramBank, cfg.BanksPerChannel)
 	}
+	d.Reset()
 	return d
+}
+
+// Reset closes every row, idles every bank and clears the statistics,
+// keeping the bank arrays.
+func (d *DRAM) Reset() {
+	for _, ch := range d.banks {
+		clear(ch)
+	}
+	d.Stats = DRAMStats{}
 }
 
 // Config returns the DRAM geometry.

@@ -97,39 +97,43 @@ type LaunchResult struct {
 }
 
 func newDevice(s *Server, id int) *device {
+	dev := driver.NewDevice(0)
 	d := &device{
 		id:     id,
 		srv:    s,
 		queues: make(map[string][]*launchReq),
 		work:   make(chan struct{}, 1),
+		dev:    dev,
+		gpu:    sim.New(s.cfg.gpuConfig(), dev),
 	}
 	d.freshHardware()
 	return d
 }
 
-// freshHardware installs a new driver device + simulator pair. Callers hold
-// mu (or own the device exclusively, as in newDevice).
+// freshHardware returns the driver device + simulator pair to the state a
+// newly built pair has, under a seed not used before on this device. Callers
+// hold mu (or own the device exclusively, as in newDevice).
 func (d *device) freshHardware() {
 	seed := d.srv.cfg.Seed + int64(d.id)*1_000_003 + int64(d.gen)*7_919
 	d.gen++
-	d.dev = driver.NewDevice(seed)
+	d.dev.Reset(seed)
 	// Serving traffic is strictly serialized per device, which is what makes
 	// RBT-region recycling legal — and what keeps device memory flat over
 	// millions of launches.
 	d.dev.SetRBTRecycle(true)
-	d.gpu = sim.New(d.srv.cfg.gpuConfig(), d.dev)
+	d.gpu.Reset()
 	d.owners = nil
 	d.allocBytes = 0
 }
 
-// rebuildGPU replaces only the simulator after a contained panic: the
+// rebuildGPU resets only the simulator after a contained panic: the
 // microarchitectural state (caches, BCU logs, wake heap) may be poisoned
 // mid-run, but device memory — which holds every live session's buffers —
 // is kept.
 func (d *device) rebuildGPU() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.gpu = sim.New(d.srv.cfg.gpuConfig(), d.dev)
+	d.gpu.Reset()
 	d.srv.stats.gpuRebuilds.Add(1)
 }
 

@@ -1,9 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -493,11 +495,85 @@ func TestDeviceRecycleWhenIdle(t *testing.T) {
 	if snap := srv.Snapshot(); snap.DeviceRecycles != 1 {
 		t.Fatalf("expected exactly one device recycle, got %+v", snap)
 	}
+	// Recycling still frees the old buffers' backing memory.
+	d := srv.devs[0]
+	d.mu.Lock()
+	footprint := d.dev.Mem.FootprintBytes()
+	d.mu.Unlock()
+	if footprint != 0 {
+		t.Fatalf("recycled device still holds %d bytes of backing memory", footprint)
+	}
 	// The pool keeps serving after the swap.
 	s2 := mustSession(t, srv, "churn")
 	mustMalloc(t, srv, s2.ID, "buf", 4096)
 	if _, err := launchFill(srv, s2.ID, 8); err != nil {
 		t.Fatalf("launch on recycled device: %v", err)
+	}
+}
+
+// TestReusedHardwareAfterRecycleMatchesFresh recycles a dirty device and
+// then runs the same session on it and on a new server whose first seed is
+// the recycled device's second one. The recycle must reuse the simulator
+// objects in place, and every launch result and read-back byte must match.
+func TestReusedHardwareAfterRecycleMatchesFresh(t *testing.T) {
+	cfg := testConfig()
+	cfg.DeviceHighWater = 16 << 10
+	srv := newTestServer(t, cfg)
+	d := srv.devs[0]
+	dev, gpu := d.dev, d.gpu
+
+	s := mustSession(t, srv, "churn")
+	mustMalloc(t, srv, s.ID, "buf", 32<<10)
+	if _, err := srv.Launch(context.Background(), s.ID, LaunchSpec{
+		Kernel: "fill", Grid: 8, Block: 256, Args: []ArgSpec{Buf("buf"), Scalar(3)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.CloseSession(s.ID); err != nil {
+		t.Fatal(err)
+	}
+	if snap := srv.Snapshot(); snap.DeviceRecycles != 1 {
+		t.Fatalf("expected exactly one device recycle, got %+v", snap)
+	}
+	if d.dev != dev || d.gpu != gpu {
+		t.Fatal("recycle rebuilt the device or GPU instead of resetting them in place")
+	}
+
+	freshCfg := testConfig()
+	freshCfg.DeviceHighWater = cfg.DeviceHighWater
+	freshCfg.Seed = cfg.Seed + 7_919 // the seed freshHardware gives generation 1
+	fresh := newTestServer(t, freshCfg)
+
+	drive := func(srv *Server) ([]LaunchResult, []byte) {
+		s := mustSession(t, srv, "after")
+		mustMalloc(t, srv, s.ID, "buf", 4096)
+		if err := srv.WriteBuffer(s.ID, "buf", 0, sentinel(4096)); err != nil {
+			t.Fatal(err)
+		}
+		var results []LaunchResult
+		for _, grid := range []int{1, 8, 2} {
+			res, err := srv.Launch(context.Background(), s.ID, LaunchSpec{
+				Kernel: "fill", Grid: grid, Block: 256, Args: []ArgSpec{Buf("buf"), Scalar(int64(grid))},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.QueueMS, res.RunMS = 0, 0
+			results = append(results, *res)
+		}
+		data, err := srv.ReadBuffer(s.ID, "buf", 0, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return results, data
+	}
+	gotRes, gotData := drive(srv)
+	wantRes, wantData := drive(fresh)
+	if !reflect.DeepEqual(gotRes, wantRes) {
+		t.Fatalf("launch results on the recycled device differ from a fresh one:\n got %+v\nwant %+v", gotRes, wantRes)
+	}
+	if !bytes.Equal(gotData, wantData) {
+		t.Fatal("buffer contents on the recycled device differ from a fresh one")
 	}
 }
 

@@ -136,6 +136,21 @@ type coreState struct {
 	sPrep memPrep
 }
 
+// reset writes the core's initial run state. Resident workgroups (left
+// behind only by a run that panicked) are dropped; the arena, the
+// superblock-plan scratch and the memory-instruction scratch are kept, as
+// their contents are dead between runs.
+func (c *coreState) reset() {
+	c.wgs = c.wgs[:0]
+	c.warps = c.warps[:0]
+	c.sched = c.sched[:0]
+	c.threadsUsed = 0
+	c.lsuFreeAt = 0
+	c.lastWarp = 0
+	c.rrRun = 0
+	c.intent = coreIntent{}
+}
+
 // statsFor returns the LaunchStats sink for counters incremented during the
 // core-private half of an instruction: the run's stats in serial execution,
 // or the core's intent scratch during parallel phase A (the commit phase

@@ -45,6 +45,9 @@ func (m ShareMode) String() string {
 // shared-state effects commit serially in core-id order, and the results
 // are byte-identical to serial stepping at every width.
 type GPU struct {
+	// base is the configuration the GPU was built with; cfg starts as a
+	// copy, SetMaxCycles edits cfg, and Reset restores it from base.
+	base  Config
 	cfg   Config
 	dev   *driver.Device
 	cores []*coreState
@@ -125,7 +128,7 @@ func NewGPU(cfg Config, dev *driver.Device) (*GPU, error) {
 		return nil, err
 	}
 	g := &GPU{
-		cfg:        cfg,
+		base:       cfg,
 		dev:        dev,
 		l2:         memsys.MustCache(cfg.L2),
 		l2tlb:      memsys.MustTLB(cfg.L2TLB),
@@ -138,7 +141,7 @@ func NewGPU(cfg Config, dev *driver.Device) (*GPU, error) {
 	g.noSuperblocks = cfg.resolveNoSuperblocks()
 	g.noMemPlans = cfg.resolveNoMemPlans()
 	for op := range g.aluLat {
-		g.aluLat[op] = uint16(aluLatency(&g.cfg, kernel.Op(op)))
+		g.aluLat[op] = uint16(aluLatency(&cfg, kernel.Op(op)))
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		c := &coreState{
@@ -153,7 +156,50 @@ func NewGPU(cfg Config, dev *driver.Device) (*GPU, error) {
 		}
 		g.cores = append(g.cores, c)
 	}
+	g.reset()
 	return g, nil
+}
+
+// Reset returns g to exactly the state NewGPU(cfg, dev) builds, over the
+// same device: every cache, TLB, DRAM bank and BCU is emptied with its
+// statistics, the configuration is restored (undoing SetMaxCycles), the
+// clock goes back to cycle 0, both fault hooks and the page census are
+// switched off, and the superblock cache and atomic-unit reservations are
+// dropped. Workgroups still resident after a run that panicked are dropped
+// too. The device is not touched: reset it with driver.Device.Reset.
+//
+// Reset keeps the allocations — line arrays, workgroup arenas, run shells
+// and map buckets — which is what makes a reset GPU cheaper than a new one.
+// It must not be called while a run is in flight.
+func (g *GPU) Reset() {
+	g.l2.Reset()
+	g.l2tlb.Reset()
+	g.dram.Reset()
+	for _, c := range g.cores {
+		c.l1d.Reset()
+		c.l1tlb.Reset()
+		if c.bcu != nil {
+			c.bcu.Reset()
+		}
+	}
+	g.reset()
+}
+
+// reset writes the initial values of the GPU's own run state; NewGPU calls
+// it on freshly built caches and BCUs, Reset after resetting them.
+func (g *GPU) reset() {
+	g.cfg = g.base
+	g.now = 0
+	g.trackPages = false
+	g.cycleHook = nil
+	g.txFault = nil
+	g.wakes.reset()
+	clear(g.atomicBusy)
+	clear(g.sbCache)
+	g.oneLaunch[0] = nil
+	for _, c := range g.cores {
+		c.reset()
+	}
 }
 
 // New is NewGPU for known-good preset configurations; it panics on an

@@ -26,15 +26,15 @@ func newWakeHeap(cores int) *wakeHeap {
 		wake: make([]uint64, cores),
 		heap: make([]int, cores),
 	}
-	for i := 0; i < cores; i++ {
-		h.wake[i] = farFuture
+	for i := range h.heap {
 		h.heap[i] = i
 	}
+	h.reset()
 	return h
 }
 
 // reset parks every core at farFuture. Called at the start of each
-// RunConcurrent.
+// RunConcurrent and by GPU.Reset.
 func (h *wakeHeap) reset() {
 	for i := range h.wake {
 		h.wake[i] = farFuture
