@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench bench-json bench-guard experiments experiments-smoke soak-smoke resume-smoke service-smoke fuzz-smoke fleet-smoke examples attackdemo vet fmt clean
+.PHONY: all build test test-race bench bench-json bench-guard profile-layers experiments experiments-smoke soak-smoke resume-smoke service-smoke fuzz-smoke fleet-smoke examples attackdemo vet fmt clean
 
 all: build test
 
@@ -52,6 +52,17 @@ bench-json:
 # holds the warp-issue and allocation lines while the mem-path lines move.
 bench-guard:
 	bash scripts/bench_compare.sh BENCH_PR10_base.json BENCH_PR10.json
+
+# Per-layer CPU profile: profile `-run fig14 -parallel 2` and sort the flat
+# time into simulator layers (warp selection, ALU/superblock, lowering,
+# address generation, BCU check, cache/TLB/DRAM timing, functional memory,
+# runtime/GC, other). The function-to-layer mapping lives in
+# scripts/profile_layers.sh; the binary and profile stay in .profile/.
+profile-layers:
+	mkdir -p .profile
+	$(GO) build -o .profile/experiments ./cmd/experiments
+	./.profile/experiments -run fig14 -parallel 2 -cpuprofile .profile/cpu.pprof >/dev/null
+	bash scripts/profile_layers.sh .profile/experiments .profile/cpu.pprof
 
 # Regenerate every table and figure at full fidelity.
 experiments:

@@ -129,7 +129,7 @@ func (d *Device) PrepareLaunch(k *kernel.Kernel, grid, block int, args []Arg, mo
 		return nil, fmt.Errorf("%w: nil kernel", ErrInvalidLaunch)
 	}
 	if err := k.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidLaunch, err)
+		return nil, fmt.Errorf("%w: %w", ErrInvalidLaunch, err)
 	}
 	if len(args) != len(k.Params) {
 		return nil, fmt.Errorf("%w: %s: %d args for %d params", ErrInvalidLaunch, k.Name, len(args), len(k.Params))

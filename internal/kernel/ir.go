@@ -338,7 +338,9 @@ var (
 	// the program, and malformed divergence scopes.
 	ErrBadBranch = errors.New("kernel: invalid branch")
 	// ErrBadAccess rejects malformed memory instructions: bad access
-	// sizes, undefined spaces, or negative shared allocations.
+	// sizes, undefined spaces, negative shared allocations, shared
+	// accesses wider than the shared allocation, or atomics outside global
+	// space.
 	ErrBadAccess = errors.New("kernel: invalid memory access")
 	// ErrBadLocal rejects local variables with non-positive per-thread
 	// sizes and local accesses naming no valid variable.
@@ -350,8 +352,8 @@ var (
 
 // Validate checks structural invariants: branch targets in range, register
 // indices within NumRegs, params in range, opcode/operand encodings
-// defined, local variables positively sized, and every register read
-// reachable from some write. It returns the first violation, wrapped in
+// defined, local variables positively sized, memory accesses the simulator
+// can perform, and every register read reachable from some write. It returns the first violation, wrapped in
 // the matching sentinel error.
 func (k *Kernel) Validate() error {
 	n := len(k.Code)
@@ -434,6 +436,13 @@ func (k *Kernel) Validate() error {
 			}
 			if in.Bytes != 1 && in.Bytes != 2 && in.Bytes != 4 && in.Bytes != 8 {
 				return fmt.Errorf("%w: kernel %s @%d: bad access size %d", ErrBadAccess, k.Name, i, in.Bytes)
+			}
+			if in.Space == SpaceShared && k.SharedBytes > 0 && in.Bytes > k.SharedBytes {
+				return fmt.Errorf("%w: kernel %s @%d: %d-byte shared access exceeds the %d-byte shared allocation",
+					ErrBadAccess, k.Name, i, in.Bytes, k.SharedBytes)
+			}
+			if in.Op == OpAtomAdd && in.Space != SpaceGlobal {
+				return fmt.Errorf("%w: kernel %s @%d: atomic in %s space (global only)", ErrBadAccess, k.Name, i, in.Space)
 			}
 			if in.Space == SpaceLocal && (in.Src[1].Kind != OperandImm ||
 				in.Src[1].Imm < 0 || int(in.Src[1].Imm) >= len(k.Locals)) {

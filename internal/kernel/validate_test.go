@@ -72,6 +72,17 @@ func TestValidateSentinels(t *testing.T) {
 		{"bad-access-size", func(k *Kernel) { k.Code[1].Bytes = 3 }, ErrBadAccess},
 		{"undefined-space", func(k *Kernel) { k.Code[1].Space = SpaceShared + 1 }, ErrBadAccess},
 		{"negative-shared", func(k *Kernel) { k.SharedBytes = -1 }, ErrBadAccess},
+		{"shared-access-wider-than-allocation", func(k *Kernel) {
+			k.SharedBytes = 4
+			k.Code[1].Space = SpaceShared // 8-byte store into 4 bytes
+		}, ErrBadAccess},
+		{"atomic-in-shared-space", func(k *Kernel) {
+			k.SharedBytes = 64
+			k.Code[1] = Instr{Op: OpAtomAdd, Dst: 0, Src: [3]Operand{Reg(0), {}, Imm(1)}, Pred: -1, Space: SpaceShared, Bytes: 4}
+		}, ErrBadAccess},
+		{"atomic-in-local-space", func(k *Kernel) {
+			k.Code[1] = Instr{Op: OpAtomAdd, Dst: 0, Src: [3]Operand{Reg(0), Imm(0), Imm(1)}, Pred: -1, Space: SpaceLocal, Bytes: 4}
+		}, ErrBadAccess},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -85,5 +96,19 @@ func TestValidateSentinels(t *testing.T) {
 				t.Fatalf("err = %v, want sentinel %v", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestValidateSharedAccessFits keeps the accepted side of the shared-width
+// rule: an access exactly as wide as the allocation, and any width when the
+// kernel has no shared allocation (such loads read zero).
+func TestValidateSharedAccessFits(t *testing.T) {
+	for _, shared := range []int{0, 8} {
+		k := valid()
+		k.SharedBytes = shared
+		k.Code[1].Space = SpaceShared
+		if err := k.Validate(); err != nil {
+			t.Errorf("SharedBytes=%d: 8-byte shared store rejected: %v", shared, err)
+		}
 	}
 }

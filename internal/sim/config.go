@@ -65,15 +65,17 @@ type Config struct {
 	CoreParallel int
 
 	// NoSuperblocks disables superblock stepping (pre-decoded straight-line
-	// ALU runs executed in one dispatch; see internal/sim/superblock.go),
-	// forcing the reference single-step execution path. Superblock stepping
-	// is byte-identical to single-stepping by construction, so this exists
-	// for the equivalence tests and the fuzz gate that prove it, and as an
-	// escape hatch. The GPUSHIELD_NO_SUPERBLOCKS environment variable
-	// (any non-empty value) forces it on for an unmodified binary.
+	// ALU runs executed in one dispatch; see internal/sim/superblock.go)
+	// and shape-tracked registers (internal/sim/shape.go), forcing the
+	// reference path: every register vector-shaped, each instruction run
+	// lane by lane. The fast path is byte-identical to the reference by
+	// construction, so this exists for the equivalence tests and the fuzz
+	// gate that prove it, and as an escape hatch. The
+	// GPUSHIELD_NO_SUPERBLOCKS environment variable (any non-empty value)
+	// forces it on for an unmodified binary.
 	NoSuperblocks bool
 
-	// NoMemPlans disables warp memory plans (per-warp cached address
+	// NoMemPlans disables warp memory plans (tag-driven address
 	// generation, stride classification, transaction-granularity check
 	// batching, and the bulk functional path; see internal/sim/memplan.go),
 	// forcing the reference per-lane LSU path. The planned path is

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"math/bits"
 
 	"gpushield/internal/core"
@@ -26,11 +25,18 @@ type warp struct {
 	pc     int
 	active uint64         // live, non-exited lanes currently enabled
 	exited uint64         // lanes retired via exit
+	live   uint64         // lanes whose registers can still be read: placed lanes not yet exited
 	code   []kernel.Instr // the kernel's instruction stream (fetch shortcut)
 	stack  []stackEntry
-	regs   [][]int64 // [lane][reg]
-	flat   []int64   // the backing array of regs: [lane*nregs + reg]
-	nregs  int
+
+	// Register file (shape.go): rows is register-major, register r's row
+	// is rows[r*ww : (r+1)*ww], and shape[r] says whether that row or an
+	// affine tag holds the register's value. shapes is false on the
+	// reference path, where every register stays vector-shaped.
+	ww     int
+	rows   []int64
+	shape  []regShape
+	shapes bool
 
 	readyAt   uint64
 	atBarrier bool
@@ -41,38 +47,14 @@ type warp struct {
 	// each selection of this warp is a replay issue (see superblock.go).
 	sbLeft int
 
-	// Lowered-superblock cache: operand plans and specialized forms are
-	// constant for a warp's lifetime (launch args, workgroup id, and the
-	// lane-affine specials are fixed at placement), so every block is
-	// lowered at most once per warp. sbIdx is indexed by pc and holds
-	// 1+entry-index into sbEnt (0 = not lowered yet); placeWorkgroup
-	// clears it when the warp is reused, but the entries' backing arrays
-	// survive so steady-state relowering allocates nothing.
-	sbIdx []int32
-	sbEnt []sbEntry
-
-	// Active-lane cache for execSBFast: register-row offsets and lane
-	// indices of the lanes in sbMask, rebuilt only when the active mask
-	// diverges from it. sbMask = 0 (placeWorkgroup) forces a rebuild —
-	// a warp with no active lanes never reaches the superblock path.
-	sbMask  uint64
-	sbOffs  []int
-	sbLanes []int64
-
-	// Lowered memory-plan cache (the LSU analogue of sbIdx/sbEnt, see
-	// memplan.go): mpIdx is indexed by pc and holds 1+entry-index into
-	// mpEnt (0 = not lowered yet); placeWorkgroup clears it when the warp
-	// is reused, but the entries' backing arrays survive so steady-state
-	// relowering allocates nothing.
-	mpIdx []int32
-	mpEnt []memPlan
-
 	// Dense active-lane cache shared by every memory pc: the lane indices
-	// of memMask, rebuilt only when the guard mask diverges from it.
-	// memMask = 0 (placeWorkgroup) forces a rebuild — a memory instruction
-	// with no active lanes never reaches address generation.
+	// of memMask and their common spacing memGap (laneList), rebuilt only
+	// when the guard mask diverges from it. memMask = 0 (placeWorkgroup)
+	// forces a rebuild — a memory instruction with no active lanes never
+	// reaches address generation.
 	memMask  uint64
 	memLanes []int32
+	memGap   int32
 }
 
 // workgroup is one resident thread block.
@@ -124,9 +106,15 @@ type coreState struct {
 	intent coreIntent
 	pend   *coreIntent
 
-	// sbPlans is reusable scratch for superblock bulk execution: one operand
-	// plan triple per block instruction (superblock.go).
-	sbPlans [][3]srcPlan
+	// rowScratch holds the shaped ALU executor's broadcast operand rows and
+	// its partial-write result row (shape.go).
+	rowScratch [4][64]int64
+
+	// memos is the core's check-memo table, one slot per global-memory
+	// site of the running kernels (kernelTable.sites): the (kernel, pointer
+	// tag) → buffer ID decryption memo core.CheckWarm consults. A slot
+	// shared by two kernels' sites only misses; every use revalidates.
+	memos []core.CheckMemo
 
 	// sPrep is the serial scheduler's memory-instruction scratch: execMem
 	// reuses it instead of zeroing a fresh ~1.6KB memPrep per instruction.
@@ -137,10 +125,12 @@ type coreState struct {
 }
 
 // reset writes the core's initial run state. Resident workgroups (left
-// behind only by a run that panicked) are dropped; the arena, the
-// superblock-plan scratch and the memory-instruction scratch are kept, as
-// their contents are dead between runs.
+// behind only by a run that panicked) are dropped and the check memos
+// emptied; the arena and the ALU and memory-instruction scratch are kept,
+// as their contents are dead between runs.
 func (c *coreState) reset() {
+	clear(c.memos)
+	c.memos = c.memos[:0]
 	c.wgs = c.wgs[:0]
 	c.warps = c.warps[:0]
 	c.sched = c.sched[:0]
@@ -171,7 +161,8 @@ func (c *coreState) statsFor(r *kernelRun) *LaunchStats {
 // allocated one would — both for equivalence with the allocating path and so
 // one tenant's register or scratchpad contents can never leak into another
 // tenant's launch on a shared GPU (the service layer runs many tenants over
-// one simulator).
+// one simulator). Registers are zeroed by tagging every one uniform 0; the
+// reference path, which tracks no shapes, clears the rows instead.
 func (c *coreState) placeWorkgroup(r *kernelRun, wgID int, now uint64) {
 	l := r.launch
 	ww := c.gpu.cfg.WarpWidth
@@ -213,42 +204,33 @@ func (c *coreState) placeWorkgroup(r *kernelRun, wgID int, now uint64) {
 		w.code = l.Kernel.Code
 		w.stack = w.stack[:0]
 		w.readyAt, w.atBarrier, w.done = now, false, false
-		w.sbLeft, w.sbEnt, w.sbMask = 0, w.sbEnt[:0], 0
-		w.mpEnt, w.memMask = w.mpEnt[:0], 0
-		if nc := len(l.Kernel.Code); cap(w.sbIdx) >= nc {
-			w.sbIdx = w.sbIdx[:nc]
-			clear(w.sbIdx)
+		w.live = mask
+		w.sbLeft, w.memMask = 0, 0
+		w.ww, w.shapes = ww, !c.gpu.noSuperblocks
+		if n := ww * nregs; cap(w.rows) >= n {
+			w.rows = w.rows[:n]
 		} else {
-			w.sbIdx = make([]int32, nc)
+			w.rows = make([]int64, n)
 		}
-		if nc := len(l.Kernel.Code); cap(w.mpIdx) >= nc {
-			w.mpIdx = w.mpIdx[:nc]
-			clear(w.mpIdx)
+		if cap(w.shape) >= nregs {
+			w.shape = w.shape[:nregs]
 		} else {
-			w.mpIdx = make([]int32, nc)
+			w.shape = make([]regShape, nregs)
 		}
-		n := ww * nregs
-		reslice := w.nregs != nregs
-		if cap(w.flat) >= n {
-			w.flat = w.flat[:n]
-			clear(w.flat)
+		if w.shapes {
+			clear(w.shape)
 		} else {
-			w.flat = make([]int64, n)
-			reslice = true
-		}
-		w.nregs = nregs
-		if w.regs == nil {
-			w.regs = make([][]int64, ww)
-			reslice = true
-		}
-		if reslice {
-			for lane := 0; lane < ww; lane++ {
-				w.regs[lane] = w.flat[lane*nregs : (lane+1)*nregs]
+			clear(w.rows)
+			for i := range w.shape {
+				w.shape[i] = regShape{vector: true}
 			}
 		}
 		w.slot = len(c.warps)
 		c.warps = append(c.warps, w)
 		c.sched = append(c.sched, now)
+	}
+	if n := r.tab.nSites; len(c.memos) < n {
+		c.memos = append(c.memos, make([]core.CheckMemo, n-len(c.memos))...)
 	}
 	c.wgs = append(c.wgs, wg)
 	c.threadsUsed += l.Block
@@ -390,17 +372,21 @@ func (w *warp) reconverge() int {
 }
 
 // guardMask returns the lanes that execute the instruction: active lanes
-// whose guard register (if any) passes.
+// whose guard register (if any) passes. A uniform guard resolves in O(1).
 func (w *warp) guardMask(in *kernel.Instr) uint64 {
 	if in.Pred < 0 {
 		return w.active
 	}
+	if s := &w.shape[in.Pred]; !s.vector && s.slope == 0 {
+		if (s.base != 0) != in.PNeg {
+			return w.active
+		}
+		return 0
+	}
 	var m uint64
-	for lanes := w.active; lanes != 0; {
+	for lanes := w.active; lanes != 0; lanes &= lanes - 1 {
 		lane := bits.TrailingZeros64(lanes)
-		lanes &^= 1 << uint(lane)
-		v := w.flat[lane*w.nregs+in.Pred] != 0
-		if v != in.PNeg {
+		if (w.at(in.Pred, lane) != 0) != in.PNeg {
 			m |= 1 << uint(lane)
 		}
 	}
@@ -437,6 +423,7 @@ func (c *coreState) execute(w *warp, in *kernel.Instr, now uint64) {
 	case in.Op == kernel.OpExit:
 		w.exited |= gmask
 		w.active &^= gmask
+		w.live &^= gmask
 		w.pc++
 		if w.active == 0 {
 			// Resume any outstanding paths; otherwise the warp retires.
@@ -462,10 +449,15 @@ func (c *coreState) execute(w *warp, in *kernel.Instr, now uint64) {
 	// ALU path. An unpredicated ALU instruction that begins a pre-decoded
 	// superblock executes the whole block's arithmetic now; this issue then
 	// completes normally and the rest of the block replays (superblock.go).
-	if lens := r.sbLens; lens != nil && lens[w.pc] >= sbMinLen {
-		c.execSuperblock(w, int(lens[w.pc]), now)
-	} else {
-		c.execALUWarp(w, in, gmask)
+	// Other ALU instructions take the shaped executor alone, or, on the
+	// reference path (no superblock table), the per-lane one.
+	switch lens := r.tab.lens; {
+	case lens == nil:
+		c.execALULanes(w, in, gmask)
+	case lens[w.pc] > 0:
+		c.execSuperblock(w, int(lens[w.pc]))
+	default:
+		c.execALU(w, in, gmask)
 	}
 	w.pc++
 	c.wake(w, now+uint64(c.gpu.aluLat[in.Op]))
@@ -557,69 +549,12 @@ func (c *coreState) execBranch(w *warp, in *kernel.Instr, gmask uint64, now uint
 	}
 }
 
-// srcPlan is a source operand resolved once per warp instruction instead of
-// once per lane. Every operand kind is either a per-lane register read
-// (reg >= 0) or an affine function of the lane id, base + slope*lane:
-// immediates and params are lane-invariant (slope 0), and each special
-// register is affine by construction (tid = inWG*ww + lane, etc.).
-type srcPlan struct {
-	reg   int
-	base  int64
-	slope int64
-}
-
-func (p *srcPlan) eval(w *warp, lane int) int64 {
-	if p.reg >= 0 {
-		return w.flat[lane*w.nregs+p.reg]
-	}
-	return p.base + p.slope*int64(lane)
-}
-
-// plan resolves one operand of w's current instruction into a srcPlan. It
-// must agree exactly with operand()/special() — the golden-stats tests lock
-// that equivalence.
-func (c *coreState) plan(w *warp, op kernel.Operand) srcPlan {
-	switch op.Kind {
-	case kernel.OperandReg:
-		return srcPlan{reg: op.Reg}
-	case kernel.OperandImm:
-		return srcPlan{reg: -1, base: op.Imm}
-	case kernel.OperandParam:
-		return srcPlan{reg: -1, base: int64(w.wg.run.launch.Args[op.Param])}
-	case kernel.OperandSpecial:
-		l := w.wg.run.launch
-		switch op.Special {
-		case kernel.SpecTIDX:
-			return srcPlan{reg: -1, base: int64(w.inWG * c.gpu.cfg.WarpWidth), slope: 1}
-		case kernel.SpecCTAIDX:
-			return srcPlan{reg: -1, base: int64(w.wg.id)}
-		case kernel.SpecNTIDX:
-			return srcPlan{reg: -1, base: int64(l.Block)}
-		case kernel.SpecNTIDY, kernel.SpecNCTAIDY:
-			return srcPlan{reg: -1, base: 1}
-		case kernel.SpecNCTAIDX:
-			return srcPlan{reg: -1, base: int64(l.Grid)}
-		case kernel.SpecLaneID:
-			return srcPlan{reg: -1, slope: 1}
-		case kernel.SpecWarpID:
-			return srcPlan{reg: -1, base: int64(w.inWG)}
-		case kernel.SpecGlobalTID:
-			return srcPlan{reg: -1,
-				base:  int64(w.wg.id)*int64(l.Block) + int64(w.inWG*c.gpu.cfg.WarpWidth),
-				slope: 1}
-		case kernel.SpecGlobalSize:
-			return srcPlan{reg: -1, base: int64(l.Grid) * int64(l.Block)}
-		}
-		return srcPlan{reg: -1} // SpecTIDY, SpecCTAIDY, unknown
-	}
-	return srcPlan{reg: -1} // OperandNone
-}
-
-// operand evaluates one source operand for a lane.
+// operand evaluates one source operand for a lane: the reference
+// resolution the shaped src must agree with.
 func (c *coreState) operand(w *warp, op kernel.Operand, lane int) int64 {
 	switch op.Kind {
 	case kernel.OperandReg:
-		return w.regs[lane][op.Reg]
+		return w.at(op.Reg, lane)
 	case kernel.OperandImm:
 		return op.Imm
 	case kernel.OperandParam:
@@ -655,277 +590,6 @@ func (c *coreState) special(w *warp, s kernel.Special, lane int) int64 {
 		return int64(w.wg.id)*int64(l.Block) + tid
 	case kernel.SpecGlobalSize:
 		return int64(l.Grid) * int64(l.Block)
-	}
-	return 0
-}
-
-// execALUWarp executes one ALU instruction across all guarded lanes.
-// Operands are resolved once per warp instruction (srcPlan), and for the
-// common integer opcodes the opcode itself is dispatched once per warp with
-// a dedicated lane loop, so the per-lane work is just operand reads and the
-// arithmetic. Rare opcodes (divides, floating point, converts) fall back to
-// the per-lane interpreter, which is the semantic reference.
-func (c *coreState) execALUWarp(w *warp, in *kernel.Instr, gmask uint64) {
-	var ps [3]srcPlan
-	ps[0] = c.plan(w, in.Src[0])
-	ps[1] = c.plan(w, in.Src[1])
-	ps[2] = c.plan(w, in.Src[2])
-	c.execALUWarpPlanned(w, in, gmask, &ps)
-}
-
-// execALUWarpPlanned is execALUWarp with the operand plans already resolved;
-// superblock bulk execution resolves all plans up front and calls this per
-// block instruction.
-func (c *coreState) execALUWarpPlanned(w *warp, in *kernel.Instr, gmask uint64, ps *[3]srcPlan) {
-	dst := in.Dst
-	if dst < 0 {
-		// Destination-less integer ALU ops have no architectural effect;
-		// keep the reference path for exactness.
-		for lanes := gmask; lanes != 0; {
-			lane := bits.TrailingZeros64(lanes)
-			lanes &^= 1 << uint(lane)
-			execALU(w, in, lane, ps)
-		}
-		return
-	}
-	switch in.Op {
-	case kernel.OpMov:
-		for lanes := gmask; lanes != 0; {
-			lane := bits.TrailingZeros64(lanes)
-			lanes &^= 1 << uint(lane)
-			w.flat[lane*w.nregs+dst] = ps[0].eval(w, lane)
-		}
-	case kernel.OpAdd:
-		for lanes := gmask; lanes != 0; {
-			lane := bits.TrailingZeros64(lanes)
-			lanes &^= 1 << uint(lane)
-			w.flat[lane*w.nregs+dst] = ps[0].eval(w, lane) + ps[1].eval(w, lane)
-		}
-	case kernel.OpSub:
-		for lanes := gmask; lanes != 0; {
-			lane := bits.TrailingZeros64(lanes)
-			lanes &^= 1 << uint(lane)
-			w.flat[lane*w.nregs+dst] = ps[0].eval(w, lane) - ps[1].eval(w, lane)
-		}
-	case kernel.OpMul:
-		for lanes := gmask; lanes != 0; {
-			lane := bits.TrailingZeros64(lanes)
-			lanes &^= 1 << uint(lane)
-			w.flat[lane*w.nregs+dst] = ps[0].eval(w, lane) * ps[1].eval(w, lane)
-		}
-	case kernel.OpMad:
-		for lanes := gmask; lanes != 0; {
-			lane := bits.TrailingZeros64(lanes)
-			lanes &^= 1 << uint(lane)
-			w.flat[lane*w.nregs+dst] = ps[0].eval(w, lane)*ps[1].eval(w, lane) + ps[2].eval(w, lane)
-		}
-	case kernel.OpMin:
-		for lanes := gmask; lanes != 0; {
-			lane := bits.TrailingZeros64(lanes)
-			lanes &^= 1 << uint(lane)
-			a, b := ps[0].eval(w, lane), ps[1].eval(w, lane)
-			if b < a {
-				a = b
-			}
-			w.flat[lane*w.nregs+dst] = a
-		}
-	case kernel.OpMax:
-		for lanes := gmask; lanes != 0; {
-			lane := bits.TrailingZeros64(lanes)
-			lanes &^= 1 << uint(lane)
-			a, b := ps[0].eval(w, lane), ps[1].eval(w, lane)
-			if b > a {
-				a = b
-			}
-			w.flat[lane*w.nregs+dst] = a
-		}
-	case kernel.OpAnd:
-		for lanes := gmask; lanes != 0; {
-			lane := bits.TrailingZeros64(lanes)
-			lanes &^= 1 << uint(lane)
-			w.flat[lane*w.nregs+dst] = ps[0].eval(w, lane) & ps[1].eval(w, lane)
-		}
-	case kernel.OpOr:
-		for lanes := gmask; lanes != 0; {
-			lane := bits.TrailingZeros64(lanes)
-			lanes &^= 1 << uint(lane)
-			w.flat[lane*w.nregs+dst] = ps[0].eval(w, lane) | ps[1].eval(w, lane)
-		}
-	case kernel.OpXor:
-		for lanes := gmask; lanes != 0; {
-			lane := bits.TrailingZeros64(lanes)
-			lanes &^= 1 << uint(lane)
-			w.flat[lane*w.nregs+dst] = ps[0].eval(w, lane) ^ ps[1].eval(w, lane)
-		}
-	case kernel.OpShl:
-		for lanes := gmask; lanes != 0; {
-			lane := bits.TrailingZeros64(lanes)
-			lanes &^= 1 << uint(lane)
-			w.flat[lane*w.nregs+dst] = ps[0].eval(w, lane) << uint64(ps[1].eval(w, lane)&63)
-		}
-	case kernel.OpShr:
-		for lanes := gmask; lanes != 0; {
-			lane := bits.TrailingZeros64(lanes)
-			lanes &^= 1 << uint(lane)
-			w.flat[lane*w.nregs+dst] = int64(uint64(ps[0].eval(w, lane)) >> uint64(ps[1].eval(w, lane)&63))
-		}
-	case kernel.OpSetLT:
-		for lanes := gmask; lanes != 0; {
-			lane := bits.TrailingZeros64(lanes)
-			lanes &^= 1 << uint(lane)
-			w.flat[lane*w.nregs+dst] = b2i(ps[0].eval(w, lane) < ps[1].eval(w, lane))
-		}
-	case kernel.OpSetLE:
-		for lanes := gmask; lanes != 0; {
-			lane := bits.TrailingZeros64(lanes)
-			lanes &^= 1 << uint(lane)
-			w.flat[lane*w.nregs+dst] = b2i(ps[0].eval(w, lane) <= ps[1].eval(w, lane))
-		}
-	case kernel.OpSetEQ:
-		for lanes := gmask; lanes != 0; {
-			lane := bits.TrailingZeros64(lanes)
-			lanes &^= 1 << uint(lane)
-			w.flat[lane*w.nregs+dst] = b2i(ps[0].eval(w, lane) == ps[1].eval(w, lane))
-		}
-	case kernel.OpSetNE:
-		for lanes := gmask; lanes != 0; {
-			lane := bits.TrailingZeros64(lanes)
-			lanes &^= 1 << uint(lane)
-			w.flat[lane*w.nregs+dst] = b2i(ps[0].eval(w, lane) != ps[1].eval(w, lane))
-		}
-	case kernel.OpSetGT:
-		for lanes := gmask; lanes != 0; {
-			lane := bits.TrailingZeros64(lanes)
-			lanes &^= 1 << uint(lane)
-			w.flat[lane*w.nregs+dst] = b2i(ps[0].eval(w, lane) > ps[1].eval(w, lane))
-		}
-	case kernel.OpSetGE:
-		for lanes := gmask; lanes != 0; {
-			lane := bits.TrailingZeros64(lanes)
-			lanes &^= 1 << uint(lane)
-			w.flat[lane*w.nregs+dst] = b2i(ps[0].eval(w, lane) >= ps[1].eval(w, lane))
-		}
-	case kernel.OpSelp:
-		for lanes := gmask; lanes != 0; {
-			lane := bits.TrailingZeros64(lanes)
-			lanes &^= 1 << uint(lane)
-			v := ps[1].eval(w, lane)
-			if ps[2].eval(w, lane) != 0 {
-				v = ps[0].eval(w, lane)
-			}
-			w.flat[lane*w.nregs+dst] = v
-		}
-	default:
-		for lanes := gmask; lanes != 0; {
-			lane := bits.TrailingZeros64(lanes)
-			lanes &^= 1 << uint(lane)
-			execALU(w, in, lane, ps)
-		}
-	}
-}
-
-// execALU applies the functional semantics of an ALU instruction to one
-// lane, reading sources through pre-resolved plans. Division by zero yields
-// zero (GPUs do not trap).
-func execALU(w *warp, in *kernel.Instr, lane int, ps *[3]srcPlan) {
-	ev := func(i int) int64 { return ps[i].eval(w, lane) }
-	var v int64
-	switch in.Op {
-	case kernel.OpMov:
-		v = ev(0)
-	case kernel.OpAdd:
-		v = ev(0) + ev(1)
-	case kernel.OpSub:
-		v = ev(0) - ev(1)
-	case kernel.OpMul:
-		v = ev(0) * ev(1)
-	case kernel.OpMad:
-		v = ev(0)*ev(1) + ev(2)
-	case kernel.OpDiv:
-		if d := ev(1); d != 0 {
-			v = ev(0) / d
-		}
-	case kernel.OpRem:
-		if d := ev(1); d != 0 {
-			v = ev(0) % d
-		}
-	case kernel.OpMin:
-		a, b := ev(0), ev(1)
-		v = a
-		if b < a {
-			v = b
-		}
-	case kernel.OpMax:
-		a, b := ev(0), ev(1)
-		v = a
-		if b > a {
-			v = b
-		}
-	case kernel.OpAnd:
-		v = ev(0) & ev(1)
-	case kernel.OpOr:
-		v = ev(0) | ev(1)
-	case kernel.OpXor:
-		v = ev(0) ^ ev(1)
-	case kernel.OpShl:
-		v = ev(0) << uint64(ev(1)&63)
-	case kernel.OpShr:
-		v = int64(uint64(ev(0)) >> uint64(ev(1)&63))
-	case kernel.OpSetLT:
-		v = b2i(ev(0) < ev(1))
-	case kernel.OpSetLE:
-		v = b2i(ev(0) <= ev(1))
-	case kernel.OpSetEQ:
-		v = b2i(ev(0) == ev(1))
-	case kernel.OpSetNE:
-		v = b2i(ev(0) != ev(1))
-	case kernel.OpSetGT:
-		v = b2i(ev(0) > ev(1))
-	case kernel.OpSetGE:
-		v = b2i(ev(0) >= ev(1))
-	case kernel.OpSelp:
-		if ev(2) != 0 {
-			v = ev(0)
-		} else {
-			v = ev(1)
-		}
-	case kernel.OpFAdd:
-		v = kernel.F2B(kernel.B2F(ev(0)) + kernel.B2F(ev(1)))
-	case kernel.OpFSub:
-		v = kernel.F2B(kernel.B2F(ev(0)) - kernel.B2F(ev(1)))
-	case kernel.OpFMul:
-		v = kernel.F2B(kernel.B2F(ev(0)) * kernel.B2F(ev(1)))
-	case kernel.OpFMad:
-		v = kernel.F2B(kernel.B2F(ev(0))*kernel.B2F(ev(1)) + kernel.B2F(ev(2)))
-	case kernel.OpFDiv:
-		if d := kernel.B2F(ev(1)); d != 0 {
-			v = kernel.F2B(kernel.B2F(ev(0)) / d)
-		}
-	case kernel.OpFSqrt:
-		v = kernel.F2B(math.Sqrt(math.Abs(kernel.B2F(ev(0)))))
-	case kernel.OpFMin:
-		v = kernel.F2B(math.Min(kernel.B2F(ev(0)), kernel.B2F(ev(1))))
-	case kernel.OpFMax:
-		v = kernel.F2B(math.Max(kernel.B2F(ev(0)), kernel.B2F(ev(1))))
-	case kernel.OpCvtIF:
-		v = kernel.F2B(float64(ev(0)))
-	case kernel.OpCvtFI:
-		v = int64(kernel.B2F(ev(0)))
-	case kernel.OpFSetLT:
-		v = b2i(kernel.B2F(ev(0)) < kernel.B2F(ev(1)))
-	case kernel.OpFSetLE:
-		v = b2i(kernel.B2F(ev(0)) <= kernel.B2F(ev(1)))
-	case kernel.OpFSetGT:
-		v = b2i(kernel.B2F(ev(0)) > kernel.B2F(ev(1)))
-	}
-	if in.Dst >= 0 {
-		w.regs[lane][in.Dst] = v
-	}
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
 	}
 	return 0
 }

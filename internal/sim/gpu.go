@@ -85,9 +85,9 @@ type GPU struct {
 	// which is what makes massively parallel device malloc slow (§5.2.1).
 	atomicBusy map[uint64]uint64
 
-	// sbCache memoizes per-kernel superblock pre-decode tables (see
+	// sbCache memoizes per-kernel tables: superblocks and memory sites (see
 	// superblock.go); noSuperblocks is the resolved NoSuperblocks flag.
-	sbCache       map[*kernel.Kernel][]int32
+	sbCache       map[*kernel.Kernel]*kernelTable
 	noSuperblocks bool
 
 	// noMemPlans is the resolved NoMemPlans flag: it forces the reference
@@ -102,7 +102,7 @@ type GPU struct {
 	// GPU allocates nothing beyond its caller-escaping report: run shells
 	// (runPool), the active-run list (runs), the per-core dispatch lists
 	// (allowed), and the single-launch slice RunCtx hands to
-	// RunConcurrentCtx (oneLaunch). The shells' launch/stats/pages/sbLens
+	// RunConcurrentCtx (oneLaunch). The shells' launch/stats/pages/tab
 	// pointers are cleared on release so a parked shell pins nothing.
 	runPool   []*kernelRun
 	runs      []*kernelRun
@@ -135,7 +135,7 @@ func NewGPU(cfg Config, dev *driver.Device) (*GPU, error) {
 		dram:       memsys.NewDRAM(cfg.DRAM),
 		atomicBusy: make(map[uint64]uint64),
 		wakes:      newWakeHeap(cfg.Cores),
-		sbCache:    make(map[*kernel.Kernel][]int32),
+		sbCache:    make(map[*kernel.Kernel]*kernelTable),
 	}
 	g.coreWidth = cfg.resolveCoreParallel()
 	g.noSuperblocks = cfg.resolveNoSuperblocks()
@@ -294,7 +294,7 @@ type kernelRun struct {
 	pages     []map[uint64]struct{} // per arg index
 	cores     []int                 // cores this kernel may occupy
 	coresUsed map[int]struct{}      // cores that actually ran workgroups
-	sbLens    []int32               // superblock pre-decode table (nil = disabled)
+	tab       *kernelTable          // the kernel's pre-decoded table (superblock.go)
 }
 
 // runPoolCap bounds how many retired run shells a GPU parks for reuse.
@@ -320,7 +320,7 @@ func (g *GPU) acquireRun() *kernelRun {
 // pins neither the escaped reports nor the launches.
 func (g *GPU) releaseRuns() {
 	for i, r := range g.runs {
-		r.launch, r.stats, r.pages, r.sbLens = nil, nil, nil, nil
+		r.launch, r.stats, r.pages, r.tab = nil, nil, nil, nil
 		if len(g.runPool) < runPoolCap {
 			g.runPool = append(g.runPool, r)
 		}
@@ -392,7 +392,7 @@ func (g *GPU) RunConcurrentCtx(ctx context.Context, launches []*driver.Launch, m
 		r.stats = &LaunchStats{
 			Kernel: l.Kernel.Name, Mode: l.Mode.String(), StartCycle: g.now,
 		}
-		r.sbLens = g.superblocks(l.Kernel)
+		r.tab = g.lower(l.Kernel)
 		if g.trackPages {
 			r.pages = make([]map[uint64]struct{}, len(l.Args))
 			for j := range r.pages {

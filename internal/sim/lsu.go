@@ -26,16 +26,14 @@ type memPrep struct {
 	minOfs, maxOfs   int64
 	ptr              uint64
 
-	// Plan-path metadata (memplan.go): class/stride/wrapped classify the
+	// Plan-path metadata (memplan.go): class/wrapped classify the
 	// generated address vector, lanes is the dense active-lane list, and
-	// plan points at the warp's lowered entry (decrypt memo, skip flag,
-	// store operand). class == memClassRef means the reference generator
-	// ran and the rest is unset.
+	// memo is the site's check memo. class == memClassRef means the
+	// reference generator ran and the rest is unset.
 	class   uint8
 	wrapped bool
-	stride  int64
 	lanes   []int32
-	plan    *memPlan
+	memo    *core.CheckMemo
 }
 
 // execMem executes one warp-level memory instruction: address generation,
@@ -81,8 +79,8 @@ func (c *coreState) execMem(w *warp, in *kernel.Instr, gmask uint64, now uint64)
 // additionally classifies the access so memCommit can batch. It reads warp
 // registers and launch metadata only — no shared or timing state.
 func (c *coreState) memGen(w *warp, in *kernel.Instr, gmask uint64, prep *memPrep) {
-	prep.class, prep.wrapped, prep.stride = memClassRef, false, 0
-	prep.lanes, prep.plan = nil, nil
+	prep.class, prep.wrapped = memClassRef, false
+	prep.lanes, prep.memo = nil, nil
 	if !c.gpu.noMemPlans && c.memGenFast(w, in, gmask, prep) {
 		return
 	}
@@ -91,7 +89,8 @@ func (c *coreState) memGen(w *warp, in *kernel.Instr, gmask uint64, prep *memPre
 
 // memGenRef is the reference address generator and coalescer — the
 // semantics memGenFast must reproduce bit-for-bit, kept as the
-// GPUSHIELD_NO_MEMPLANS path and as the fallback for unplannable shapes.
+// GPUSHIELD_NO_MEMPLANS path and for local-space accesses. It reads every
+// operand lane by lane through its shape.
 func (c *coreState) memGenRef(w *warp, in *kernel.Instr, gmask uint64, prep *memPrep) {
 	l := w.wg.run.launch
 	ww := c.gpu.cfg.WarpWidth
@@ -110,12 +109,12 @@ func (c *coreState) memGenRef(w *warp, in *kernel.Instr, gmask uint64, prep *mem
 		reg := &l.Locals[varIdx]
 		ptr = l.LocalPtrs[varIdx]
 		havePtr = true
-		p0 := c.plan(w, in.Src[0])
+		p0 := c.src(w, in.Src[0])
 		for lanes := gmask; lanes != 0; {
 			lane := bits.TrailingZeros64(lanes)
 			lanes &^= 1 << uint(lane)
 			thr := w.wg.id*l.Block + w.inWG*ww + lane
-			off := p0.eval(w, lane)
+			off := p0.at(lane)
 			addrs[lane] = reg.LocalAddr(thr, off)
 			offs[lane] = int64(addrs[lane]) - int64(reg.Base)
 		}
@@ -124,25 +123,25 @@ func (c *coreState) memGenRef(w *warp, in *kernel.Instr, gmask uint64, prep *mem
 		base := l.Args[in.Src[0].Param]
 		ptr = base
 		havePtr = true
-		p1 := c.plan(w, in.Src[1])
+		p1 := c.src(w, in.Src[1])
 		for lanes := gmask; lanes != 0; {
 			lane := bits.TrailingZeros64(lanes)
 			lanes &^= 1 << uint(lane)
-			off := p1.eval(w, lane)
+			off := p1.at(lane)
 			addrs[lane] = core.Addr(base) + uint64(off)
 			offs[lane] = off
 		}
 	default:
 		// Method B: the register holds a full (possibly tagged) address.
-		p0 := c.plan(w, in.Src[0])
-		p1 := c.plan(w, in.Src[1])
+		p0 := c.src(w, in.Src[0])
+		p1 := c.src(w, in.Src[1])
 		hasOff := in.Src[1].Kind != kernel.OperandNone
 		for lanes := gmask; lanes != 0; {
 			lane := bits.TrailingZeros64(lanes)
 			lanes &^= 1 << uint(lane)
-			v := uint64(p0.eval(w, lane))
+			v := uint64(p0.at(lane))
 			if hasOff {
-				v += uint64(p1.eval(w, lane))
+				v += uint64(p1.at(lane))
 			}
 			if !havePtr {
 				ptr, havePtr = v, true
@@ -152,11 +151,8 @@ func (c *coreState) memGenRef(w *warp, in *kernel.Instr, gmask uint64, prep *mem
 		}
 	}
 
-	// Address range gathering and coalescing (ACU): unique cache-line
-	// transactions plus warp min/max byte range.
-	lineMask := ^uint64(int64(c.gpu.cfg.L1D.LineBytes - 1))
-	lines := &prep.lines
-	nLines := 0
+	// Address range gathering and coalescing (ACU): warp min/max byte
+	// range plus unique cache-line transactions.
 	minAddr, maxAddr := ^uint64(0), uint64(0)
 	minOfs, maxOfs := int64(math.MaxInt64), int64(math.MinInt64)
 	bytes := uint64(in.Bytes)
@@ -176,24 +172,8 @@ func (c *coreState) memGenRef(w *warp, in *kernel.Instr, gmask uint64, prep *mem
 		if offs[lane]+int64(bytes)-1 > maxOfs {
 			maxOfs = offs[lane] + int64(bytes) - 1
 		}
-		for la := a & lineMask; la <= (a+bytes-1)&lineMask; la += uint64(c.gpu.cfg.L1D.LineBytes) {
-			found := false
-			if !l.NoCoalesce {
-				for i := 0; i < nLines; i++ {
-					if lines[i] == la {
-						found = true
-						break
-					}
-				}
-			}
-			if !found && nLines < len(lines) {
-				lines[nLines] = la
-				nLines++
-			}
-		}
 	}
-
-	prep.nLines = nLines
+	prep.nLines = c.coalesceRef(l, gmask, prep, bytes)
 	prep.minAddr, prep.maxAddr = minAddr, maxAddr
 	prep.minOfs, prep.maxOfs = minOfs, maxOfs
 	prep.ptr = ptr
@@ -276,15 +256,7 @@ func (c *coreState) memCommit(w *warp, in *kernel.Instr, gmask uint64, now uint6
 		extra        uint64
 	)
 	protect := c.gpu.cfg.EnableBCU && l.Mode != driver.ModeOff
-	skipCheck := false
-	if protect {
-		if e := prep.plan; e != nil {
-			skipCheck = e.skip // memoized l.SkipCheck[w.pc]
-		} else {
-			skipCheck = l.SkipCheck[w.pc]
-		}
-	}
-	if protect && skipCheck {
+	if protect && l.SkipCheck[w.pc] {
 		st.Skipped++
 	} else if protect {
 		out := c.checkTransaction(w, in, gmask, prep, nLines == 1, allHit, st, l)
@@ -333,48 +305,55 @@ func (c *coreState) memCommit(w *warp, in *kernel.Instr, gmask uint64, now uint6
 		}
 	}
 
-	// Functional access. Dense unit-stride transactions inside one backing
-	// chunk go through the bulk span path; everything else (and any squash
-	// or drop) takes the per-lane reference path.
+	// Functional access. A uniform load reads once; dense unit-stride
+	// transactions inside one backing chunk go through the bulk span path;
+	// everything else takes the per-lane reference path. Source operands
+	// are resolved before the destination row is claimed, as a store or
+	// atomic may read the register a load or atomic then writes.
 	mem := c.gpu.dev.Mem
 	switch in.Op {
 	case kernel.OpLd:
-		if in.Dst >= 0 { // a discard-destination load still paid its timing above
-			if squash || prep.class != memClassUnit || prep.wrapped || !c.batchLoad(w, in, prep) {
-				for lanes := gmask; lanes != 0; {
-					lane := bits.TrailingZeros64(lanes)
-					lanes &^= 1 << uint(lane)
-					var v int64
-					if !squash {
-						v = loadValue(mem, addrs[lane], in)
-					}
-					w.flat[lane*w.nregs+in.Dst] = v
-				}
+		if in.Dst < 0 { // a discard-destination load still paid its timing above
+			break
+		}
+		switch {
+		case squash:
+			w.setAffine(in.Dst, 0, 0, gmask)
+		case prep.class == memClassUniform:
+			w.setAffine(in.Dst, loadValue(mem, addrs[prep.lanes[0]], in), 0, gmask)
+		case prep.class == memClassUnit && !prep.wrapped && c.batchLoad(w, in, gmask, prep):
+		default:
+			row := w.dstRow(in.Dst, gmask)
+			for lanes := gmask; lanes != 0; lanes &= lanes - 1 {
+				lane := bits.TrailingZeros64(lanes)
+				row[lane] = loadValue(mem, addrs[lane], in)
 			}
 		}
 	case kernel.OpSt:
 		if !drop {
-			if prep.class != memClassUnit || prep.wrapped || !c.batchStore(w, in, prep) {
-				p2 := c.plan(w, in.Src[2])
-				for lanes := gmask; lanes != 0; {
+			p2 := c.src(w, in.Src[2])
+			if prep.class != memClassUnit || prep.wrapped || !c.batchStore(in, prep, &p2) {
+				for lanes := gmask; lanes != 0; lanes &= lanes - 1 {
 					lane := bits.TrailingZeros64(lanes)
-					lanes &^= 1 << uint(lane)
-					storeValue(mem, addrs[lane], in, p2.eval(w, lane))
+					storeValue(mem, addrs[lane], in, p2.at(lane))
 				}
 			}
 		}
 	case kernel.OpAtomAdd:
-		p2 := c.plan(w, in.Src[2])
-		for lanes := gmask; lanes != 0; {
+		p2 := c.src(w, in.Src[2])
+		var row []int64
+		if in.Dst >= 0 {
+			row = w.dstRow(in.Dst, gmask)
+		}
+		for lanes := gmask; lanes != 0; lanes &= lanes - 1 {
 			lane := bits.TrailingZeros64(lanes)
-			lanes &^= 1 << uint(lane)
 			var old int64
 			if !squash && !drop {
 				old = loadValue(mem, addrs[lane], in)
-				storeValue(mem, addrs[lane], in, old+p2.eval(w, lane))
+				storeValue(mem, addrs[lane], in, old+p2.at(lane))
 			}
-			if in.Dst >= 0 {
-				w.flat[lane*w.nregs+in.Dst] = old
+			if row != nil {
+				row[lane] = old
 			}
 		}
 	}
@@ -496,8 +475,8 @@ func (c *coreState) checkTransaction(w *warp, in *kernel.Instr, gmask uint64, pr
 			out.stall += nchecks - 1
 			st.BCUStalls += uint64(nchecks - 1)
 		}
-	} else if e := prep.plan; e != nil {
-		tally(c.bcu.CheckWarm(req, &e.vc))
+	} else if prep.memo != nil {
+		tally(c.bcu.CheckWarm(req, prep.memo))
 	} else {
 		tally(c.bcu.Check(req))
 	}
@@ -509,19 +488,22 @@ func (c *coreState) checkTransaction(w *warp, in *kernel.Instr, gmask uint64, pr
 func (c *coreState) execShared(w *warp, in *kernel.Instr, gmask uint64, now uint64) {
 	st := c.statsFor(w.wg.run)
 	sh := w.wg.shared
-	p0 := c.plan(w, in.Src[0])
-	p2 := c.plan(w, in.Src[2])
-	for lanes := gmask; lanes != 0; {
+	p0 := c.src(w, in.Src[0])
+	p2 := c.src(w, in.Src[2])
+	var row []int64
+	if in.Op == kernel.OpLd && in.Dst >= 0 {
+		row = w.dstRow(in.Dst, gmask)
+	}
+	for lanes := gmask; lanes != 0; lanes &= lanes - 1 {
 		lane := bits.TrailingZeros64(lanes)
-		lanes &^= 1 << uint(lane)
 		st.SharedAccs++
 		if len(sh) == 0 {
-			if in.Op == kernel.OpLd && in.Dst >= 0 {
-				w.flat[lane*w.nregs+in.Dst] = 0
+			if row != nil {
+				row[lane] = 0
 			}
 			continue
 		}
-		addr := int(uint64(p0.eval(w, lane)) % uint64(len(sh)))
+		addr := int(uint64(p0.at(lane)) % uint64(len(sh)))
 		end := addr + in.Bytes
 		if end > len(sh) {
 			addr = len(sh) - in.Bytes
@@ -529,16 +511,16 @@ func (c *coreState) execShared(w *warp, in *kernel.Instr, gmask uint64, now uint
 		}
 		switch in.Op {
 		case kernel.OpLd:
-			if in.Dst < 0 {
+			if row == nil {
 				continue
 			}
 			var raw uint64
 			for i := addr; i < end; i++ {
 				raw |= uint64(sh[i]) << (8 * uint(i-addr))
 			}
-			w.flat[lane*w.nregs+in.Dst] = widen(raw, in)
+			row[lane] = widen(raw, in)
 		case kernel.OpSt:
-			raw := narrow(p2.eval(w, lane), in)
+			raw := narrow(p2.at(lane), in)
 			for i := addr; i < end; i++ {
 				sh[i] = byte(raw >> (8 * uint(i-addr)))
 			}

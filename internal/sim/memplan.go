@@ -10,22 +10,25 @@ import (
 	"gpushield/internal/kernel"
 )
 
-// Warp memory plans (the LSU analogue of superblock lowering, PR 10): the
-// shape of a memory instruction — which operand carries the pointer, whether
-// the offset is lane-affine, whether the static analyzer proved it safe —
-// is constant for a warp's lifetime, so it is lowered once per (warp, pc)
-// and recycled across loop iterations. On top of the lowered shape, address
-// generation classifies each dynamic access by stride (uniform /
-// unit-stride / strided / indirect), which lets memCommit:
+// Warp memory plans (the LSU analogue of superblocks): address generation
+// classifies each dynamic global access by stride (uniform / unit-stride /
+// strided / indirect), which lets memCommit:
 //
 //   - clear the page-fault check for the whole transaction with one mapped
 //     range sweep instead of a per-lane page-table probe;
-//   - resolve the bounds check through a per-call-site decrypt memo
-//     (core.CheckMemo) so the Feistel network runs once per (buffer,
-//     kernel) instead of once per instruction — the software mirror of the
-//     paper's RCache locality;
-//   - service dense unit-stride loads and stores through one backing-store
-//     span instead of 32 scalar accesses.
+//   - resolve the bounds check through a per-site decrypt memo
+//     (core.CheckMemo, coreState.memos) so the Feistel network runs once
+//     per (buffer, kernel) instead of once per instruction — the software
+//     mirror of the paper's RCache locality;
+//   - read a uniform load once, and service dense unit-stride loads and
+//     stores through one backing-store span instead of 32 scalar accesses.
+//
+// An address or offset register with an affine shape (shape.go) is
+// classified from its tag: class, byte range and lines follow from the
+// first and last active lane in O(1). Vector-shaped registers, and affine
+// ones whose lane addresses cannot be proven monotone (a negative slope, a
+// carry into the pointer-tag bits, a wrap of the address space), take the
+// per-lane scan.
 //
 // Equivalence with the reference path is held the same way superblocks hold
 // it: nothing timing-visible is memoized. The generated addresses, offsets,
@@ -43,103 +46,32 @@ const (
 	memClassIndirect              // no provable structure
 	memClassUniform               // all active lanes hit the same address
 	memClassUnit                  // dense unit stride: addr[i+1] = addr[i]+bytes
-	memClassStrided               // constant stride, not dense
+	memClassStrided               // constant stride wider than the access
 )
-
-type memPlanKind uint8
-
-const (
-	mpRef   memPlanKind = iota // always the reference generator (local space)
-	mpParam                    // Method C: uniform tagged base param + explicit offset
-	mpReg                      // Method B: a register holds the full tagged address
-)
-
-// memPlan is one lowered memory instruction cached on a warp (indexed via
-// warp.mpIdx, backing recycled across launches by placeWorkgroup).
-type memPlan struct {
-	kind   memPlanKind
-	hasOff bool // mpReg: an explicit offset operand is present
-	skip   bool // launch-constant l.SkipCheck[pc], memoized at lowering
-	affine bool // mpParam: offset is a pure affine function of lane
-	p0, p1 srcPlan
-	pStore srcPlan // store/atomic value operand (Src[2])
-
-	// vc is this call site's decrypt memo for transaction-granularity
-	// checking: (kernel, pointer tag) resolve to the same buffer ID for as
-	// long as the BCU generation stands (see core.CheckMemo).
-	vc core.CheckMemo
-
-	// Affine geometry cache: for mpParam+affine the whole address vector
-	// is a warp-lifetime constant per guard mask, so the coalesced
-	// geometry is computed once and replayed across loop iterations.
-	// geomMask is the mask the cache was built for (0 = empty).
-	geomMask uint64
-	geom     memGeom
-}
-
-// memGeom is one cached address-generation + coalescing result.
-type memGeom struct {
-	class            uint8
-	wrapped          bool
-	stride           int64
-	nLines           int
-	lines            []uint64
-	minAddr, maxAddr uint64
-	minOfs, maxOfs   int64
-}
-
-// memPlanFor returns the warp's lowered memory plan for the current pc,
-// lowering it on first visit. Entry backing arrays survive placeWorkgroup's
-// reset, so steady-state relowering allocates nothing.
-func (c *coreState) memPlanFor(w *warp, in *kernel.Instr) *memPlan {
-	if ei := w.mpIdx[w.pc]; ei != 0 {
-		return &w.mpEnt[ei-1]
-	}
-	n := len(w.mpEnt)
-	if n < cap(w.mpEnt) {
-		w.mpEnt = w.mpEnt[:n+1] // recycle a parked entry's backing
-	} else {
-		w.mpEnt = append(w.mpEnt, memPlan{})
-	}
-	e := &w.mpEnt[n]
-	glines := e.geom.lines
-	*e = memPlan{}
-	e.geom.lines = glines
-	l := w.wg.run.launch
-	e.skip = l.SkipCheck[w.pc]
-	switch {
-	case in.Space == kernel.SpaceLocal:
-		e.kind = mpRef
-	case in.Src[0].Kind == kernel.OperandParam:
-		e.kind = mpParam
-		e.p1 = c.plan(w, in.Src[1])
-		e.affine = e.p1.reg < 0
-	default:
-		e.kind = mpReg
-		e.p0 = c.plan(w, in.Src[0])
-		e.p1 = c.plan(w, in.Src[1])
-		e.hasOff = in.Src[1].Kind != kernel.OperandNone
-	}
-	if in.Op == kernel.OpSt || in.Op == kernel.OpAtomAdd {
-		e.pStore = c.plan(w, in.Src[2])
-	}
-	w.mpIdx[w.pc] = int32(n + 1)
-	return e
-}
 
 // laneList returns the dense active-lane list for gmask, rebuilding the
 // warp's cache only when the mask diverges from the last memory access's.
+// The rebuild also records memGap, the common distance between
+// consecutive active lanes: 0 when uneven, 1 for a single lane.
 func (w *warp) laneList(gmask uint64) []int32 {
 	if w.memMask == gmask {
 		return w.memLanes
 	}
 	lns := w.memLanes[:0]
-	for lanes := gmask; lanes != 0; {
-		lane := bits.TrailingZeros64(lanes)
-		lanes &^= 1 << uint(lane)
-		lns = append(lns, int32(lane))
+	for lanes := gmask; lanes != 0; lanes &= lanes - 1 {
+		lns = append(lns, int32(bits.TrailingZeros64(lanes)))
 	}
-	w.memMask, w.memLanes = gmask, lns
+	gap := int32(1)
+	if len(lns) > 1 {
+		gap = lns[1] - lns[0]
+		for i := 2; i < len(lns); i++ {
+			if lns[i]-lns[i-1] != gap {
+				gap = 0
+				break
+			}
+		}
+	}
+	w.memMask, w.memLanes, w.memGap = gmask, lns, gap
 	return lns
 }
 
@@ -147,56 +79,103 @@ func (w *warp) laneList(gmask uint64) []int32 {
 // memGenRef would — same addresses, offsets, pointer tag, byte range, and
 // coalesced line sequence — while classifying the access so memCommit can
 // batch the page check, the bounds check, and the functional access. It
-// returns false when the instruction has no plannable shape (local space),
-// sending the caller to the reference generator.
+// returns false for local-space accesses, sending the caller to the
+// reference generator.
 func (c *coreState) memGenFast(w *warp, in *kernel.Instr, gmask uint64, prep *memPrep) bool {
-	e := c.memPlanFor(w, in)
-	if e.kind == mpRef {
+	if in.Space == kernel.SpaceLocal {
 		return false
 	}
-	l := w.wg.run.launch
-	lanes := w.laneList(gmask)
-	prep.plan = e
-	prep.lanes = lanes
+	r := w.wg.run
+	prep.lanes = w.laneList(gmask)
+	prep.memo = &c.memos[r.tab.sites[w.pc]]
 	bytes := uint64(in.Bytes)
-
-	if e.kind == mpParam {
-		base := l.Args[in.Src[0].Param]
-		prep.ptr = base
-		if e.affine && e.geomMask == gmask {
-			// Replay the cached geometry; addrs/offs still refill (commit
-			// reads them for the ablation loop, the census, and fallbacks).
-			ab := core.Addr(base)
-			b0, s := e.p1.base, e.p1.slope
-			for _, ln := range lanes {
-				off := b0 + s*int64(ln)
-				prep.offs[ln] = off
-				prep.addrs[ln] = ab + uint64(off)
-			}
-			g := &e.geom
-			prep.nLines = g.nLines
-			copy(prep.lines[:g.nLines], g.lines)
-			prep.minAddr, prep.maxAddr = g.minAddr, g.maxAddr
-			prep.minOfs, prep.maxOfs = g.minOfs, g.maxOfs
-			prep.class, prep.stride, prep.wrapped = g.class, g.stride, g.wrapped
-			return true
-		}
-		c.memScanParam(w, e, l, gmask, prep, bytes)
-		if e.affine {
-			g := &e.geom
-			if cap(g.lines) < len(prep.lines) {
-				g.lines = make([]uint64, 0, len(prep.lines))
-			}
-			g.lines = append(g.lines[:0], prep.lines[:prep.nLines]...)
-			g.nLines = prep.nLines
-			g.minAddr, g.maxAddr = prep.minAddr, prep.maxAddr
-			g.minOfs, g.maxOfs = prep.minOfs, prep.maxOfs
-			g.class, g.stride, g.wrapped = prep.class, prep.stride, prep.wrapped
-			e.geomMask = gmask
+	if in.Src[0].Kind == kernel.OperandParam {
+		// Method C: uniform tagged base param + explicit offset.
+		prep.ptr = r.launch.Args[in.Src[0].Param]
+		off := c.src(w, in.Src[1])
+		if off.row != nil || !c.affineParam(w, &off, gmask, prep, bytes) {
+			c.memScanParam(r.launch, &off, gmask, prep, bytes)
 		}
 		return true
 	}
-	c.memScanReg(w, e, gmask, prep, bytes)
+	// Method B: a register holds the full (possibly tagged) address; an
+	// absent offset operand resolves to uniform 0.
+	p0, p1 := c.src(w, in.Src[0]), c.src(w, in.Src[1])
+	if p0.row != nil || p1.row != nil ||
+		!c.affineReg(w, p0.base+p1.base, p0.slope+p1.slope, gmask, prep, bytes) {
+		c.memScanReg(r.launch, &p0, &p1, gmask, prep, bytes)
+	}
+	return true
+}
+
+// affineSpan returns slope·n, the distance between the first and the last
+// active lane's address, when the slope is non-negative and the distance
+// is at most limit.
+func affineSpan(slope, n int64, limit uint64) (uint64, bool) {
+	if slope < 0 {
+		return 0, false
+	}
+	hi, lo := bits.Mul64(uint64(slope), uint64(n))
+	return lo, hi == 0 && lo <= limit
+}
+
+// affineReg generates a Method-B access whose address register is affine,
+// v(lane) = base + slope·lane, from its tag. Each lane's address is the
+// reference's per-lane arithmetic; the byte range and class follow from
+// the first and last active lane when the tag-stripped addresses provably
+// stay monotone: a non-negative slope and no carry out of the 48 address
+// bits between those lanes. Consecutive active lanes then sit slope·memGap
+// apart, the stride the scan would measure. It returns false, leaving the
+// access to the scan, otherwise. The pointer tag is the first active
+// lane's, as in memGenRef.
+func (c *coreState) affineReg(w *warp, base, slope int64, gmask uint64, prep *memPrep, bytes uint64) bool {
+	lanes := prep.lanes
+	l0, l1 := int64(lanes[0]), int64(lanes[len(lanes)-1])
+	v0 := uint64(base + slope*l0)
+	a0 := core.Addr(v0)
+	span, ok := affineSpan(slope, l1-l0, core.AddrMask-a0)
+	if !ok {
+		return false
+	}
+	for _, ln := range lanes {
+		prep.addrs[ln] = core.Addr(uint64(base + slope*int64(ln)))
+		prep.offs[ln] = 0
+	}
+	prep.ptr = v0
+	prep.minAddr, prep.maxAddr = a0, a0+span+bytes-1
+	prep.minOfs, prep.maxOfs = 0, int64(bytes)-1
+	c.classifyAndCoalesce(w.wg.run.launch, gmask, prep, bytes, true, slope == 0 || w.memGap != 0, slope*int64(w.memGap), false)
+	return true
+}
+
+// affineParam is affineReg for a Method-C access with an affine offset:
+// the offsets must provably stay monotone without overflowing int64, and
+// the addresses (untagged base + offset) without wrapping the address
+// space.
+func (c *coreState) affineParam(w *warp, off *val, gmask uint64, prep *memPrep, bytes uint64) bool {
+	lanes := prep.lanes
+	l0, l1 := int64(lanes[0]), int64(lanes[len(lanes)-1])
+	ab := core.Addr(prep.ptr)
+	o0 := off.base + off.slope*l0
+	a0 := ab + uint64(o0)
+	// Headroom above the first lane's offset and address; the last lane's
+	// access must end inside both.
+	room := min(uint64(math.MaxInt64)-uint64(o0), ^uint64(0)-a0)
+	if room < bytes-1 {
+		return false
+	}
+	span, ok := affineSpan(off.slope, l1-l0, room-(bytes-1))
+	if !ok {
+		return false
+	}
+	for _, ln := range lanes {
+		o := off.base + off.slope*int64(ln)
+		prep.offs[ln] = o
+		prep.addrs[ln] = ab + uint64(o)
+	}
+	prep.minAddr, prep.maxAddr = a0, a0+span+bytes-1
+	prep.minOfs, prep.maxOfs = o0, int64(uint64(o0)+span+bytes-1)
+	c.classifyAndCoalesce(w.wg.run.launch, gmask, prep, bytes, true, off.slope == 0 || w.memGap != 0, off.slope*int64(w.memGap), false)
 	return true
 }
 
@@ -204,7 +183,7 @@ func (c *coreState) memGenFast(w *warp, in *kernel.Instr, gmask uint64, prep *me
 // base + explicit per-lane offset), tracking the byte range and the stride
 // evidence the classifier needs. The arithmetic per lane is identical to
 // memGenRef's Method-C case.
-func (c *coreState) memScanParam(w *warp, e *memPlan, l *driver.Launch, gmask uint64, prep *memPrep, bytes uint64) {
+func (c *coreState) memScanParam(l *driver.Launch, off *val, gmask uint64, prep *memPrep, bytes uint64) {
 	ab := core.Addr(prep.ptr)
 	lanes := prep.lanes
 	var (
@@ -219,10 +198,10 @@ func (c *coreState) memScanParam(w *warp, e *memPlan, l *driver.Launch, gmask ui
 		prev     uint64
 	)
 	for i, ln := range lanes {
-		off := e.p1.eval(w, int(ln))
-		a := ab + uint64(off)
+		o := off.at(int(ln))
+		a := ab + uint64(o)
 		prep.addrs[ln] = a
-		prep.offs[ln] = off
+		prep.offs[ln] = o
 		if a < minA {
 			minA = a
 		}
@@ -233,10 +212,10 @@ func (c *coreState) memScanParam(w *warp, e *memPlan, l *driver.Launch, gmask ui
 		if hi < a {
 			wrapped = true
 		}
-		if off < minO {
-			minO = off
+		if o < minO {
+			minO = o
 		}
-		if oh := off + int64(bytes) - 1; oh > maxO {
+		if oh := o + int64(bytes) - 1; oh > maxO {
 			maxO = oh
 		}
 		if i == 1 {
@@ -260,12 +239,12 @@ func (c *coreState) memScanParam(w *warp, e *memPlan, l *driver.Launch, gmask ui
 }
 
 // memScanReg generates addresses for a Method-B access (a register carries
-// the full, possibly tagged, address). The pointer tag comes from the first
-// active lane's untruncated value, exactly as in memGenRef; tag-stripped
-// addresses fit in 48 bits, so per-lane spans can never wrap uint64.
-func (c *coreState) memScanReg(w *warp, e *memPlan, gmask uint64, prep *memPrep, bytes uint64) {
+// the full, possibly tagged, address) lane by lane. The pointer tag comes
+// from the first active lane's untruncated value, exactly as in memGenRef;
+// tag-stripped addresses fit in 48 bits, so per-lane spans can never wrap
+// uint64.
+func (c *coreState) memScanReg(l *driver.Launch, p0, p1 *val, gmask uint64, prep *memPrep, bytes uint64) {
 	lanes := prep.lanes
-	hasOff := e.hasOff
 	var (
 		minA     = ^uint64(0)
 		maxA     uint64
@@ -275,10 +254,7 @@ func (c *coreState) memScanReg(w *warp, e *memPlan, gmask uint64, prep *memPrep,
 		prev     uint64
 	)
 	for i, ln := range lanes {
-		v := uint64(e.p0.eval(w, int(ln)))
-		if hasOff {
-			v += uint64(e.p1.eval(w, int(ln)))
-		}
+		v := uint64(p0.at(int(ln))) + uint64(p1.at(int(ln)))
 		if i == 0 {
 			prep.ptr = v
 		}
@@ -308,14 +284,15 @@ func (c *coreState) memScanReg(w *warp, e *memPlan, gmask uint64, prep *memPrep,
 	}
 	prep.minAddr, prep.maxAddr = minA, maxA
 	prep.minOfs, prep.maxOfs = 0, int64(bytes)-1
-	c.classifyAndCoalesce(w.wg.run.launch, gmask, prep, bytes, mono, strideOK, stride, false)
+	c.classifyAndCoalesce(l, gmask, prep, bytes, mono, strideOK, stride, false)
 }
 
-// classifyAndCoalesce assigns the transaction class from the scan evidence
-// and produces the coalesced line sequence — arithmetically when the shape
-// makes that provably exact, through the reference ACU loop otherwise. The
-// emitted lines are identical to memGenRef's in content and order (order
-// matters: memAccess mutates cache, TLB, and DRAM state per line).
+// classifyAndCoalesce assigns the transaction class from the address
+// evidence and produces the coalesced line sequence — arithmetically when
+// the shape makes that provably exact, through the reference ACU loop
+// otherwise. The emitted lines are identical to memGenRef's in content and
+// order (order matters: memAccess mutates cache, TLB, and DRAM state per
+// line).
 func (c *coreState) classifyAndCoalesce(l *driver.Launch, gmask uint64, prep *memPrep, bytes uint64, mono, strideOK bool, stride int64, wrapped bool) {
 	lineBytes := uint64(c.gpu.cfg.L1D.LineBytes)
 	lanes := prep.lanes
@@ -326,11 +303,13 @@ func (c *coreState) classifyAndCoalesce(l *driver.Launch, gmask uint64, prep *me
 			class = memClassUniform
 		case stride == int64(bytes):
 			class = memClassUnit
-		case stride > 0:
+		case stride > int64(bytes):
+			// Narrower strides overlap lane spans, so a line can recur
+			// after another one and only the full dedup is exact.
 			class = memClassStrided
 		}
 	}
-	prep.class, prep.stride, prep.wrapped = class, stride, wrapped
+	prep.class, prep.wrapped = class, wrapped
 
 	// Arithmetic line generation is exact only for monotone, wrap-free
 	// address vectors under coalescing; anything else — including a line
@@ -385,18 +364,21 @@ func (c *coreState) classifyAndCoalesce(l *driver.Launch, gmask uint64, prep *me
 	}
 }
 
-// coalesceRef is the reference ACU loop (see memGenRef) run over
-// already-generated addresses: per active lane ascending, per touched line,
-// full-array dedup unless NoCoalesce, capped at len(prep.lines).
+// coalesceRef is the reference ACU loop over already-generated addresses:
+// per active lane ascending, per touched line, full-array dedup unless
+// NoCoalesce, capped at len(prep.lines). An access in the last line of the
+// address space ends the walk there instead of wrapping to line 0.
 func (c *coreState) coalesceRef(l *driver.Launch, gmask uint64, prep *memPrep, bytes uint64) int {
-	lineMask := ^uint64(int64(c.gpu.cfg.L1D.LineBytes - 1))
+	lineBytes := uint64(c.gpu.cfg.L1D.LineBytes)
+	lineMask := ^(lineBytes - 1)
 	lines := &prep.lines
 	nLines := 0
 	for lanes := gmask; lanes != 0; {
 		lane := bits.TrailingZeros64(lanes)
 		lanes &^= 1 << uint(lane)
 		a := prep.addrs[lane]
-		for la := a & lineMask; la <= (a+bytes-1)&lineMask; la += uint64(c.gpu.cfg.L1D.LineBytes) {
+		last := (a + bytes - 1) & lineMask
+		for la := a & lineMask; la <= last; la += lineBytes {
 			found := false
 			if !l.NoCoalesce {
 				for i := 0; i < nLines; i++ {
@@ -409,6 +391,9 @@ func (c *coreState) coalesceRef(l *driver.Launch, gmask uint64, prep *memPrep, b
 			if !found && nLines < len(lines) {
 				lines[nLines] = la
 				nLines++
+			}
+			if la == last {
+				break
 			}
 		}
 	}
@@ -436,35 +421,34 @@ func (c *coreState) rangeMapped(prep *memPrep) bool {
 // return (chunk straddle, unsupported width) sends the caller to the
 // per-lane path. The same bytes are read with the same widening rules as
 // loadValue, so the register file ends up bit-identical.
-func (c *coreState) batchLoad(w *warp, in *kernel.Instr, prep *memPrep) bool {
+func (c *coreState) batchLoad(w *warp, in *kernel.Instr, gmask uint64, prep *memPrep) bool {
 	lanes := prep.lanes
 	sp := c.gpu.dev.Mem.Span(prep.addrs[lanes[0]], len(lanes)*in.Bytes)
 	if sp == nil {
 		return false
 	}
-	dst, nregs := in.Dst, w.nregs
-	flat := w.flat
+	row := w.dstRow(in.Dst, gmask)
 	switch {
 	case in.F32 && in.Bytes == 4:
 		for i, ln := range lanes {
 			raw := binary.LittleEndian.Uint32(sp[i*4:])
-			flat[int(ln)*nregs+dst] = kernel.F2B(float64(math.Float32frombits(raw)))
+			row[ln] = kernel.F2B(float64(math.Float32frombits(raw)))
 		}
 	case in.Bytes == 8:
 		for i, ln := range lanes {
-			flat[int(ln)*nregs+dst] = int64(binary.LittleEndian.Uint64(sp[i*8:]))
+			row[ln] = int64(binary.LittleEndian.Uint64(sp[i*8:]))
 		}
 	case in.Bytes == 4:
 		for i, ln := range lanes {
-			flat[int(ln)*nregs+dst] = int64(int32(binary.LittleEndian.Uint32(sp[i*4:])))
+			row[ln] = int64(int32(binary.LittleEndian.Uint32(sp[i*4:])))
 		}
 	case in.Bytes == 2:
 		for i, ln := range lanes {
-			flat[int(ln)*nregs+dst] = int64(binary.LittleEndian.Uint16(sp[i*2:]))
+			row[ln] = int64(binary.LittleEndian.Uint16(sp[i*2:]))
 		}
 	case in.Bytes == 1:
 		for i, ln := range lanes {
-			flat[int(ln)*nregs+dst] = int64(sp[i])
+			row[ln] = int64(sp[i])
 		}
 	default:
 		return false
@@ -474,34 +458,33 @@ func (c *coreState) batchLoad(w *warp, in *kernel.Instr, prep *memPrep) bool {
 
 // batchStore is batchLoad's store dual: lane values narrow into one span,
 // byte-identical to per-lane storeValue calls.
-func (c *coreState) batchStore(w *warp, in *kernel.Instr, prep *memPrep) bool {
+func (c *coreState) batchStore(in *kernel.Instr, prep *memPrep, p2 *val) bool {
 	lanes := prep.lanes
 	sp := c.gpu.dev.Mem.Span(prep.addrs[lanes[0]], len(lanes)*in.Bytes)
 	if sp == nil {
 		return false
 	}
-	p2 := prep.plan.pStore
 	switch {
 	case in.F32 && in.Bytes == 4:
 		for i, ln := range lanes {
-			raw := math.Float32bits(float32(kernel.B2F(p2.eval(w, int(ln)))))
+			raw := math.Float32bits(float32(kernel.B2F(p2.at(int(ln)))))
 			binary.LittleEndian.PutUint32(sp[i*4:], raw)
 		}
 	case in.Bytes == 8:
 		for i, ln := range lanes {
-			binary.LittleEndian.PutUint64(sp[i*8:], uint64(p2.eval(w, int(ln))))
+			binary.LittleEndian.PutUint64(sp[i*8:], uint64(p2.at(int(ln))))
 		}
 	case in.Bytes == 4:
 		for i, ln := range lanes {
-			binary.LittleEndian.PutUint32(sp[i*4:], uint32(p2.eval(w, int(ln))))
+			binary.LittleEndian.PutUint32(sp[i*4:], uint32(p2.at(int(ln))))
 		}
 	case in.Bytes == 2:
 		for i, ln := range lanes {
-			binary.LittleEndian.PutUint16(sp[i*2:], uint16(p2.eval(w, int(ln))))
+			binary.LittleEndian.PutUint16(sp[i*2:], uint16(p2.at(int(ln))))
 		}
 	case in.Bytes == 1:
 		for i, ln := range lanes {
-			sp[i] = byte(p2.eval(w, int(ln)))
+			sp[i] = byte(p2.at(int(ln)))
 		}
 	default:
 		return false

@@ -203,3 +203,19 @@ func TestMemPlanEquivUnmapped(t *testing.T) {
 	}
 	mpEquivCompare(t, k, 2, 64, driver.ModeOff, core.FailLog, n)
 }
+
+// TestMemPlanEquivNarrowStride loads 4-byte words at a 1-byte stride, so
+// neighbouring lanes overlap and the lanes near a line boundary each touch
+// both lines: deduplicating against the last emitted line is not enough
+// there, and the planned coalescer must emit exactly the reference's
+// three transactions, not one per straddling lane.
+func TestMemPlanEquivNarrowStride(t *testing.T) {
+	const n = 4096
+	kb := kernel.NewBuilder("mp_narrow")
+	p := kb.BufferParam("p", false)
+	gtid := kb.GlobalTID()
+	v := kb.LoadGlobalOfs(p, kb.Add(kb.LaneID(), kernel.Imm(124)), 4)
+	w := kb.LoadGlobal(kb.Add(kb.Add(p, kernel.Imm(250)), kb.LaneID()), 4)
+	kb.StoreGlobal(kb.AddScaled(p, kb.And(gtid, kernel.Imm(n-1)), 4), kb.Add(v, w), 4)
+	mpEquivCompare(t, kb.MustBuild(), 2, 64, driver.ModeShield, core.FailLog, n)
+}

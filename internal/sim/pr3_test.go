@@ -90,10 +90,10 @@ func TestAtomicBusyPruned(t *testing.T) {
 	}
 }
 
-// TestPlanMatchesOperand locks the equivalence between the pre-resolved
-// operand plans (srcPlan) and the per-lane reference interpreter
-// (operand/special) for every operand kind, every special register, and
-// every lane.
+// TestPlanMatchesOperand locks the equivalence between the shaped operand
+// resolution (src) and the per-lane reference interpreter
+// (operand/special) for every operand kind, every special register, every
+// register shape, and every lane.
 func TestPlanMatchesOperand(t *testing.T) {
 	cfg := NvidiaConfig()
 	g := &GPU{cfg: cfg}
@@ -105,20 +105,27 @@ func TestPlanMatchesOperand(t *testing.T) {
 		Kernel: &kernel.Kernel{NumRegs: 4},
 	}
 	wg := &workgroup{run: &kernelRun{launch: l}, id: 3}
-	w := &warp{wg: wg, inWG: 2, nregs: 4}
-	flat := make([]int64, ww*4)
-	w.flat = flat
-	w.regs = make([][]int64, ww)
-	for lane := 0; lane < ww; lane++ {
-		w.regs[lane] = flat[lane*4 : (lane+1)*4]
-		for r := 0; r < 4; r++ {
-			w.regs[lane][r] = int64(lane*100 + r)
+	w := &warp{wg: wg, inWG: 2, ww: ww, live: 1<<uint(ww) - 1, shapes: true}
+	w.rows = make([]int64, 4*ww)
+	w.shape = []regShape{{vector: true}, {vector: true}, {base: -7, slope: 3}, {base: 1 << 40}}
+	want := func(r, lane int) int64 {
+		switch r {
+		case 2:
+			return -7 + 3*int64(lane)
+		case 3:
+			return 1 << 40
+		}
+		return int64(lane*100 + r)
+	}
+	for r := 0; r < 2; r++ {
+		for lane := 0; lane < ww; lane++ {
+			w.row(r)[lane] = want(r, lane)
 		}
 	}
 
 	ops := []kernel.Operand{
 		{}, // OperandNone
-		kernel.Reg(0), kernel.Reg(3),
+		kernel.Reg(0), kernel.Reg(1), kernel.Reg(2), kernel.Reg(3),
 		kernel.Imm(-17), kernel.Imm(1 << 40),
 		{Kind: kernel.OperandParam, Param: 0},
 		{Kind: kernel.OperandParam, Param: 1},
@@ -127,11 +134,14 @@ func TestPlanMatchesOperand(t *testing.T) {
 		ops = append(ops, kernel.Spec(s))
 	}
 	for _, op := range ops {
-		p := c.plan(w, op)
+		v := c.src(w, op)
 		for lane := 0; lane < ww; lane++ {
-			want := c.operand(w, op, lane)
-			if got := p.eval(w, lane); got != want {
-				t.Fatalf("op %+v lane %d: plan=%d operand=%d", op, lane, got, want)
+			ref := c.operand(w, op, lane)
+			if got := v.at(lane); got != ref {
+				t.Fatalf("op %+v lane %d: src=%d operand=%d", op, lane, got, ref)
+			}
+			if op.Kind == kernel.OperandReg && ref != want(op.Reg, lane) {
+				t.Fatalf("r%d lane %d: read %d, want %d", op.Reg, lane, ref, want(op.Reg, lane))
 			}
 		}
 	}

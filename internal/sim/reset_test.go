@@ -245,13 +245,13 @@ func runResetSequence(t *testing.T, k *kernel.Kernel, dev *driver.Device, gpu *G
 // contents are dead between runs: allocations kept for reuse and scratch
 // that every use overwrites first. BCU.gen is checked on its own.
 var resetKeeps = map[string]bool{
-	"GPU.runPool":       true, // parked run shells
-	"GPU.allowed":       true, // per-core dispatch lists, emptied after each run
-	"coreState.wgPool":  true, // workgroup arena
-	"coreState.sbPlans": true, // superblock operand-plan scratch
-	"coreState.sPrep":   true, // memory-instruction scratch
-	"BCU.gen":           true, // moves forward on reset, never back
-	"wakeHeap.heap":     true, // core ids in heap order; with every wake equal, any order is a valid heap
+	"GPU.runPool":          true, // parked run shells
+	"GPU.allowed":          true, // per-core dispatch lists, emptied after each run
+	"coreState.wgPool":     true, // workgroup arena
+	"coreState.rowScratch": true, // ALU broadcast and partial-write scratch
+	"coreState.sPrep":      true, // memory-instruction scratch
+	"BCU.gen":              true, // moves forward on reset, never back
+	"wakeHeap.heap":        true, // core ids in heap order; with every wake equal, any order is a valid heap
 }
 
 // stateDiff walks a and b field by field, unexported fields included, and
