@@ -72,11 +72,11 @@ func TestEncodeJSONMatchesMarshalIndentOnCorpus(t *testing.T) {
 	}
 }
 
-// TestEncodeJSONMatchesMarshalIndentOnEdgeCases covers what generated
-// kernels do not: nil versus empty slices, every opcode, space and special,
-// extreme immediates and register numbers, names that need escaping, and
-// values the codec must reject.
-func TestEncodeJSONMatchesMarshalIndentOnEdgeCases(t *testing.T) {
+// edgeKernels returns, by name, the kernels generated cases do not cover:
+// nil versus empty slices, every opcode, space and special, extreme
+// immediates and register numbers, names that need escaping, and values the
+// codec must reject.
+func edgeKernels() map[string]*kernel.Kernel {
 	base := func() *kernel.Kernel {
 		return &kernel.Kernel{
 			Name:    "edge",
@@ -147,8 +147,12 @@ func TestEncodeJSONMatchesMarshalIndentOnEdgeCases(t *testing.T) {
 	})
 	add("undefined-operand-kind", func(k *kernel.Kernel) { k.Code[0].Src[1] = kernel.Operand{Kind: 9} })
 	add("undefined-param-kind", func(k *kernel.Kernel) { k.Params[1].Kind = 2 })
+	return cases
+}
 
-	for name, k := range cases {
+// TestEncodeJSONMatchesMarshalIndentOnEdgeCases runs every edge-case kernel.
+func TestEncodeJSONMatchesMarshalIndentOnEdgeCases(t *testing.T) {
+	for name, k := range edgeKernels() {
 		assertEncodesLikeReference(t, name, k)
 	}
 }

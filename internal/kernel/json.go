@@ -524,13 +524,18 @@ func appendJSONString(dst []byte, s string) []byte {
 }
 
 // DecodeJSON parses a kernel serialized by EncodeJSON and validates it.
+// EncodeJSON's exact output takes the canonical fast path (decode.go); any
+// other input, re-indented, hand-edited or malformed, goes to encoding/json.
 func DecodeJSON(data []byte) (*Kernel, error) {
-	var k Kernel
-	if err := json.Unmarshal(data, &k); err != nil {
-		return nil, fmt.Errorf("kernel: decode: %w", err)
+	k, ok := decodeCanonical(data)
+	if !ok {
+		k = new(Kernel)
+		if err := json.Unmarshal(data, k); err != nil {
+			return nil, fmt.Errorf("kernel: decode: %w", err)
+		}
 	}
 	if err := k.Validate(); err != nil {
 		return nil, err
 	}
-	return &k, nil
+	return k, nil
 }

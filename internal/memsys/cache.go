@@ -4,7 +4,10 @@
 // memory contents.
 package memsys
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // CacheConfig describes a set-associative cache.
 type CacheConfig struct {
@@ -41,9 +44,20 @@ type cacheLine struct {
 // lruSets is the set-associative LRU core shared by Cache and TLB: one flat
 // line array of numSets × ways, set s occupying lines[s*ways : (s+1)*ways].
 // Keys are addresses shifted right by the granule (line or page) bits.
+//
+// Two per-set side arrays keep the common operations short. mru[s] is the
+// way of set s that last hit or filled; a lookup checks it before scanning
+// the set, which in a lightly filled 64-way TLB saves the walk past every
+// invalid way (a key sits in at most one way, so the order of the checks
+// cannot change the answer). Bit s of dirty is set when a fill writes set
+// s, so Flush clears only the sets that hold a valid line instead of the
+// whole array.
 type lruSets struct {
 	lines   []cacheLine
+	mru     []uint32
+	dirty   []uint64
 	numSets uint64
+	pow2    bool // numSets is a power of two: index sets with a mask
 	ways    int
 	shift   uint
 	useTick uint64
@@ -51,7 +65,14 @@ type lruSets struct {
 }
 
 func newLRUSets(numSets, ways, granuleBytes int) lruSets {
-	s := lruSets{lines: make([]cacheLine, numSets*ways), numSets: uint64(numSets), ways: ways}
+	s := lruSets{
+		lines:   make([]cacheLine, numSets*ways),
+		mru:     make([]uint32, numSets),
+		dirty:   make([]uint64, (numSets+63)/64),
+		numSets: uint64(numSets),
+		pow2:    numSets&(numSets-1) == 0,
+		ways:    ways,
+	}
 	for b := granuleBytes; b > 1; b >>= 1 {
 		s.shift++
 	}
@@ -59,10 +80,29 @@ func newLRUSets(numSets, ways, granuleBytes int) lruSets {
 	return s
 }
 
-// set returns the ways of the set key maps to.
-func (s *lruSets) set(key uint64) []cacheLine {
-	base := int(key%s.numSets) * s.ways
-	return s.lines[base : base+s.ways : base+s.ways]
+// setOf returns the index of the set key maps to.
+func (s *lruSets) setOf(key uint64) int {
+	if s.pow2 {
+		return int(key & (s.numSets - 1))
+	}
+	return int(key % s.numSets)
+}
+
+// lookup returns the set key maps to, its index and the way holding key,
+// or -1.
+func (s *lruSets) lookup(key uint64) ([]cacheLine, int, int) {
+	si := s.setOf(key)
+	base := si * s.ways
+	set := s.lines[base : base+s.ways : base+s.ways]
+	if l := &set[s.mru[si]]; l.tag == key && l.lastUse != 0 {
+		return set, si, int(s.mru[si])
+	}
+	for i := range set {
+		if set[i].tag == key && set[i].lastUse != 0 {
+			return set, si, i
+		}
+	}
+	return set, si, -1
 }
 
 // Access looks up addr and updates LRU state, allocating on a miss
@@ -74,9 +114,10 @@ func (s *lruSets) Access(addr uint64) bool {
 	s.useTick++
 	s.Stats.Accesses++
 	key := addr >> s.shift
-	set := s.set(key)
-	if i := lookup(set, key); i >= 0 {
+	set, si, i := s.lookup(key)
+	if i >= 0 {
 		set[i].lastUse = s.useTick
+		s.mru[si] = uint32(i)
 		s.Stats.Hits++
 		return true
 	}
@@ -91,6 +132,8 @@ func (s *lruSets) Access(addr uint64) bool {
 		}
 	}
 	set[victim] = cacheLine{tag: key, lastUse: s.useTick}
+	s.mru[si] = uint32(victim)
+	s.dirty[si/64] |= 1 << (si % 64)
 	return false
 }
 
@@ -100,34 +143,32 @@ func (s *lruSets) Access(addr uint64) bool {
 // parallel planning phase may Probe shared caches and TLBs freely, while
 // mutation is reserved for the serial commit phase.
 func (s *lruSets) Probe(addr uint64) bool {
-	key := addr >> s.shift
-	return lookup(s.set(key), key) >= 0
-}
-
-// lookup returns the way of set holding key, or -1.
-func lookup(set []cacheLine, key uint64) int {
-	for i := range set {
-		if set[i].tag == key && set[i].lastUse != 0 {
-			return i
-		}
-	}
-	return -1
+	_, _, i := s.lookup(addr >> s.shift)
+	return i >= 0
 }
 
 // Flush invalidates every line (kernel termination / context switch). The
-// LRU clock and the statistics keep running.
-func (s *lruSets) Flush() { clear(s.lines) }
+// LRU clock and the statistics keep running. Only a set a fill wrote since
+// the last flush can hold a valid line or a nonzero MRU way, so only those
+// sets are cleared.
+func (s *lruSets) Flush() {
+	for w := range s.dirty {
+		for word := s.dirty[w]; word != 0; word &= word - 1 {
+			si := w*64 + bits.TrailingZeros64(word)
+			clear(s.lines[si*s.ways : (si+1)*s.ways])
+			s.mru[si] = 0
+		}
+		s.dirty[w] = 0
+	}
+}
 
 // Reset returns the structure to its constructed state: every line invalid,
-// the LRU clock at zero and the statistics cleared. The line array is kept.
-// Only Access fills a line, and it advances the clock first, so a clock at
-// zero means every line is still invalid and the array is left untouched:
-// a new structure's pages stay unwritten (the 256 KB L2 array of a GPU
-// becomes resident only as lines fill), and an unused cache resets for free.
+// the LRU clock at zero and the statistics cleared. The arrays are kept.
+// Like Flush it writes only the sets that were filled, so a new structure's
+// line array stays unwritten (the 256 KB L2 array of a GPU becomes resident
+// only as lines fill) and a reset costs what the last run filled.
 func (s *lruSets) Reset() {
-	if s.useTick != 0 {
-		s.Flush()
-	}
+	s.Flush()
 	s.useTick = 0
 	s.Stats = CacheStats{}
 }

@@ -89,8 +89,9 @@ type lruModel interface {
 // verdict, a probe answer or the statistics. Addresses come from a pool of
 // about twice the capacity in granules, scattered over a wide range so every
 // set sees conflicts, with a bias towards recently used granules so hits
-// and LRU promotions are common. The pool includes key 0, so an invalid
-// line's zero tag must never count as a hit.
+// and LRU promotions are common, and runs that repeat the previous granule
+// at another offset, the pattern a set's MRU way serves. The pool includes
+// key 0, so an invalid line's zero tag must never count as a hit.
 func diffLRU(t *testing.T, dut lruModel, stats func() CacheStats, ref *refSets, lines, granule int, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -101,11 +102,14 @@ func diffLRU(t *testing.T, dut lruModel, stats func() CacheStats, ref *refSets, 
 	// Key 0 is the tag a zeroed (invalid) line carries.
 	pool[0], pool[1] = 0, uint64(granule-1)
 	var recent []uint64
+	var addr uint64
 	for step := 0; step < 20000; step++ {
-		var addr uint64
-		if len(recent) > 0 && rng.Intn(3) == 0 {
+		switch r := rng.Intn(12); {
+		case step > 0 && r < 3:
+			addr = addr&^uint64(granule-1) + uint64(rng.Intn(granule))
+		case len(recent) > 0 && r < 7:
 			addr = recent[rng.Intn(len(recent))]
-		} else {
+		default:
 			addr = pool[rng.Intn(len(pool))]
 		}
 		switch op := rng.Intn(100); {

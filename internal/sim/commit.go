@@ -22,7 +22,7 @@ import (
 //   phase B (serial commit) — the intents are applied on the scheduler
 //     goroutine in ascending core-id order, reusing the exact serial code
 //     paths for the L2, L2 TLB, DRAM, backing store, RBT fetches, atomic
-//     units, violation mailbox, run statistics, and the wake heap. The
+//     units, violation mailbox, run statistics, and the wake times. The
 //     serial scheduler also visits cores in ascending id order, so the
 //     shared-state mutation sequence — and therefore every LaunchStats
 //     byte — is identical at every worker count.

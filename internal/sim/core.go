@@ -99,7 +99,7 @@ type coreState struct {
 	// the chosen instruction plus every shared-state effect it deferred.
 	// pend points at intent only while the core-private half of an
 	// instruction executes in phase A; helpers that would otherwise touch
-	// shared state (run stats, liveWGs, dispatchNeeded, the wake heap)
+	// shared state (run stats, liveWGs, dispatchNeeded, the wake times)
 	// consult it and record into the intent instead. It is nil during
 	// serial execution and during the commit phase, so those paths mutate
 	// shared state directly, exactly as the serial scheduler always has.
@@ -504,8 +504,8 @@ func (c *coreState) releaseBarrier(wg *workgroup, now uint64) {
 	// Released warps are ready next cycle; wake the core for them. A
 	// release can only happen inside an issuing execute, whose caller
 	// (tryIssue serially, the commit phase in parallel) re-arms the core at
-	// now+1 unconditionally — so in phase A, where the heap is shared, the
-	// call is simply skipped rather than deferred.
+	// now+1 unconditionally — so in phase A, where the wake times are
+	// shared, the call is simply skipped rather than deferred.
 	if c.pend == nil {
 		c.gpu.wakes.earlier(c.id, now+1)
 	}

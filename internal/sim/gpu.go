@@ -65,9 +65,9 @@ type GPU struct {
 
 	// wakes tracks, per core, the earliest cycle at which that core might
 	// issue; the scheduling loop only visits cores whose wake time has
-	// arrived, and the next idle-skip target is the heap minimum. See
+	// arrived, and the next idle-skip target is the minimum wake. See
 	// DESIGN.md "Event-driven scheduler" for the invariants.
-	wakes *wakeHeap
+	wakes *wakeTimes
 	// dispatchNeeded is set when a workgroup slot frees (retire, abort) or a
 	// launch starts; dispatch runs only then instead of every cycle.
 	dispatchNeeded bool
@@ -134,7 +134,7 @@ func NewGPU(cfg Config, dev *driver.Device) (*GPU, error) {
 		l2tlb:      memsys.MustTLB(cfg.L2TLB),
 		dram:       memsys.NewDRAM(cfg.DRAM),
 		atomicBusy: make(map[uint64]uint64),
-		wakes:      newWakeHeap(cfg.Cores),
+		wakes:      newWakeTimes(cfg.Cores),
 		sbCache:    make(map[*kernel.Kernel]*kernelTable),
 	}
 	g.coreWidth = cfg.resolveCoreParallel()
@@ -678,7 +678,7 @@ func (g *GPU) dispatch(allowed [][]*kernelRun) {
 }
 
 // nextEvent returns the earliest future cycle at which any warp can issue:
-// a peek at the core wake-time heap. The heap is exact whenever this is
+// the minimum core wake time. The wakes are exact whenever this is
 // called — a scheduling step reaches nextEvent only when no core issued, so
 // every core whose wake had arrived just recomputed its wake in a failed
 // tryIssue scan, and the remaining cores' wakes were maintained by the

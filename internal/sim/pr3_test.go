@@ -147,11 +147,11 @@ func TestPlanMatchesOperand(t *testing.T) {
 	}
 }
 
-// TestWakeHeap exercises the lazy min-heap directly.
-func TestWakeHeap(t *testing.T) {
-	h := newWakeHeap(5)
+// TestWakeTimes exercises the per-core wake times directly.
+func TestWakeTimes(t *testing.T) {
+	h := newWakeTimes(5)
 	if h.min() != farFuture {
-		t.Fatal("fresh heap must be idle")
+		t.Fatal("fresh wake times must be idle")
 	}
 	h.set(3, 100)
 	h.set(1, 50)

@@ -251,7 +251,6 @@ var resetKeeps = map[string]bool{
 	"coreState.rowScratch": true, // ALU broadcast and partial-write scratch
 	"coreState.sPrep":      true, // memory-instruction scratch
 	"BCU.gen":              true, // moves forward on reset, never back
-	"wakeHeap.heap":        true, // core ids in heap order; with every wake equal, any order is a valid heap
 }
 
 // stateDiff walks a and b field by field, unexported fields included, and

@@ -27,7 +27,7 @@ function layer(fn) {
     if (fn ~ /sim\.\(\*coreState\)\.(selectWarp|tryIssue|execute|replayIssue|wake|retireWarp|releaseBarrier|execBranch|placeWorkgroup|removeWorkgroup|statsFor|selectIntent|executeIntent)$/ ||
         fn ~ /sim\.\(\*warp\)\.(reconverge|guardMask)$/ ||
         fn ~ /sim\.\(\*GPU\)\.(stepSerial|stepParallel|nextEvent|dispatch|RunConcurrentCtx|deadlocked|abortRun|abortUnfinished|acquireRun|releaseRuns)$/ ||
-        fn ~ /sim\.\(\*(wakeHeap|coreWorkers)\)\./ || fn ~ /kernel\.Op\.Is(Memory|Branch|Store)$/)
+        fn ~ /sim\.\(\*(wakeTimes|coreWorkers)\)\./ || fn ~ /kernel\.Op\.Is(Memory|Branch|Store)$/)
         return "warp selection"
     if (fn ~ /sim\.\(\*coreState\)\.(execALU|execALUWarp|execALUWarpPlanned|execALULanes|execSuperblock|execSBFast|src|denseRow|operand|special)$/ ||
         fn ~ /sim\.(aluDense|aluScalar|execALU|affineOp|aluArity|fadd|fsub|fmul|fdiv|nanOperand|b2i)$/ || fn ~ /sim\.execALU\.func/ ||
@@ -46,7 +46,7 @@ function layer(fn) {
         fn ~ /gpushield\/internal\/core\./)
         return "BCU check"
     if (fn ~ /sim\.\(\*GPU\)\.(memAccess|fetchRBT)$/ ||
-        fn ~ /memsys\.\(\*(Cache|TLB|DRAM|lruSets)\)\./ || fn ~ /memsys\.(lookup|bankOf)/)
+        fn ~ /memsys\.\(\*(Cache|TLB|DRAM|lruSets)\)\./)
         return "cache/TLB/DRAM timing"
     if (fn ~ /sim\.\(\*coreState\)\.(execMem|memCommit|execShared|batchLoad|batchStore|rangeMapped)$/ ||
         fn ~ /sim\.(loadValue|storeValue|widen|narrow)$/ ||
