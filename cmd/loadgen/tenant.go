@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"time"
 
+	"gpushield/internal/randsrc"
 	"gpushield/internal/service"
 )
 
@@ -56,7 +57,7 @@ func newTenant(id int, malicious bool, base string, transport *http.Transport, s
 			base: base,
 			http: &http.Client{Transport: transport, Timeout: 30 * time.Second},
 		},
-		rng:   rand.New(rand.NewSource(seed + int64(id))),
+		rng:   rand.New(randsrc.New(seed + int64(id))),
 		elems: 256,
 	}
 }

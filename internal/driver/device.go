@@ -11,6 +11,7 @@ import (
 
 	"gpushield/internal/core"
 	"gpushield/internal/memsys"
+	"gpushield/internal/randsrc"
 )
 
 // Architectural layout constants.
@@ -104,7 +105,7 @@ func (d *Device) SetLaunchMutator(fn func(*Launch)) { d.launchMutator = fn }
 // and key generation deterministic for reproducible experiments; use
 // different seeds to observe different random ID assignments.
 func NewDevice(seed int64) *Device {
-	d := &Device{Mem: memsys.NewBacking(), rng: rand.New(rand.NewSource(seed))}
+	d := &Device{Mem: memsys.NewBacking(), rng: rand.New(randsrc.New(seed))}
 	d.reset()
 	return d
 }
@@ -112,10 +113,11 @@ func NewDevice(seed int64) *Device {
 // Reset returns the device to exactly the state NewDevice(seed) builds: the
 // backing store is emptied, every allocator, the page map, the heap, the ID
 // budget, RBT recycling and the launch mutator go back to their defaults,
-// and the ID/key generator is re-seeded (rand.Rand.Seed yields the same
-// sequence as a new rand.NewSource(seed)). Buffers handed out before the
-// reset must not be used after it. The page map, chunk map and record
-// slices keep their allocations.
+// and the ID/key generator's source is re-seeded in place (randsrc.Source
+// yields the sequence of rand.NewSource(seed)). Buffers handed out before
+// the reset must not be used after it. The page map, chunk map and record
+// slices keep their allocations, and the backing store keeps up to 64 of
+// its chunks for reuse, zeroed before any use.
 func (d *Device) Reset(seed int64) {
 	d.Mem.Reset()
 	d.rng.Seed(seed)

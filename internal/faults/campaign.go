@@ -10,6 +10,7 @@ import (
 	"gpushield/internal/driver"
 	"gpushield/internal/kernel"
 	"gpushield/internal/pool"
+	"gpushield/internal/randsrc"
 	"gpushield/internal/sim"
 )
 
@@ -100,7 +101,7 @@ func golden(i int) uint32 {
 // probabilities come from the seeded stream; the same (seed, n) always
 // yields the same campaign.
 func DefaultCampaign(seed int64, n int) []FaultSpec {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(randsrc.New(seed))
 	specs := make([]FaultSpec, 0, n)
 	for i := 0; i < n; i++ {
 		t := Target(i % numTargets)
@@ -203,7 +204,7 @@ var runInjection = runOne
 // fault, run the reference kernel, and classify the outcome.
 func runOne(ctx context.Context, cfg Config, spec FaultSpec, idx int) (Result, error) {
 	res := Result{Index: idx, Spec: spec}
-	rng := rand.New(rand.NewSource(cfg.Seed ^ (int64(idx)+1)*0x9E3779B9))
+	rng := rand.New(randsrc.New(cfg.Seed ^ (int64(idx)+1)*0x9E3779B9))
 	dev := driver.NewDevice(cfg.Seed + int64(idx))
 	gpu, err := sim.NewGPU(cfg.GPU, dev)
 	if err != nil {

@@ -32,14 +32,30 @@ type tval struct {
 	taint bool
 }
 
-// threadEnv carries one thread's evaluation state.
+// threadEnv carries the evaluation state of one case. EvalTruth uses one
+// for every thread of every launch: the thread IDs and the variables' set
+// bits are reset before each thread, and every loop pops what it pushed.
 type threadEnv struct {
 	tid, ctaid, gtid int64
 	launch           *LaunchSpec
-	bufs             []BufSpec
-	vars             map[int]tval
+	bufs             []bufInfo // by Case.Bufs index
+	vars             []varSlot // by variable ID
 	loops            []int64
-	truth            map[int]*SiteTruth
+	sites            []SiteTruth // by site ID
+}
+
+// varSlot is one variable of the current thread; set is false until an
+// SLoad writes it.
+type varSlot struct {
+	val tval
+	set bool
+}
+
+// bufInfo is what an access needs of a case buffer, computed once per case.
+type bufInfo struct {
+	size, padded int64
+	readOnly     bool
+	init         []int64
 }
 
 // evalBudget bounds total loop iterations per thread so a buggy generator
@@ -50,22 +66,31 @@ const evalBudget = 1 << 16
 // int64 (wrapping) semantics and returns per-site ground truth keyed by
 // site ID. Malformed cases have no truth.
 func EvalTruth(c *Case) (map[int]*SiteTruth, error) {
+	// Shrunk cases keep their original site IDs, so the slice is sized by
+	// the largest one rather than by the number of sites.
+	maxID := -1
+	for _, s := range c.Sites {
+		maxID = max(maxID, s.ID)
+	}
+	env := &threadEnv{sites: make([]SiteTruth, maxID+1)}
 	truth := make(map[int]*SiteTruth, len(c.Sites))
 	for _, s := range c.Sites {
-		truth[s.ID] = &SiteTruth{}
+		truth[s.ID] = &env.sites[s.ID]
 	}
 	if c.Malformed != nil {
 		return truth, nil
 	}
+	env.bufs = make([]bufInfo, len(c.Bufs))
+	for i, b := range c.Bufs {
+		env.bufs[i] = bufInfo{size: int64(b.Size()), padded: int64(b.Padded()), readOnly: b.ReadOnly, init: b.Init}
+	}
 	for li := range c.Launches {
 		l := &c.Launches[li]
+		env.launch = l
 		total := l.Grid * l.Block
 		for t := 0; t < total; t++ {
-			env := &threadEnv{
-				tid: int64(t % l.Block), ctaid: int64(t / l.Block), gtid: int64(t),
-				launch: l, bufs: c.Bufs,
-				vars: make(map[int]tval), truth: truth,
-			}
+			env.tid, env.ctaid, env.gtid = int64(t%l.Block), int64(t/l.Block), int64(t)
+			clear(env.vars)
 			budget := evalBudget
 			if err := evalStmts(env, l.Body, &budget); err != nil {
 				return truth, fmt.Errorf("launch %d thread %d: %w", li, t, err)
@@ -73,6 +98,14 @@ func EvalTruth(c *Case) (map[int]*SiteTruth, error) {
 		}
 	}
 	return truth, nil
+}
+
+// setVar writes variable v of the current thread.
+func (env *threadEnv) setVar(v int, x tval) {
+	if v >= len(env.vars) {
+		env.vars = append(env.vars, make([]varSlot, v+1-len(env.vars))...)
+	}
+	env.vars[v] = varSlot{val: x, set: true}
 }
 
 func evalStmts(env *threadEnv, body []*Stmt, budget *int) error {
@@ -119,7 +152,7 @@ func evalStmt(env *threadEnv, s *Stmt, budget *int) error {
 }
 
 func evalAccess(env *threadEnv, s *Stmt) error {
-	st := env.truth[s.Site.ID]
+	st := &env.sites[s.Site.ID]
 	elem, err := evalExpr(env, s.Elem)
 	if err != nil {
 		return err
@@ -143,12 +176,12 @@ func evalAccess(env *threadEnv, s *Stmt) error {
 		}
 		st.Executed = true
 		if s.Kind == SLoad {
-			env.vars[s.Var] = tval{taint: true}
+			env.setVar(s.Var, tval{taint: true})
 		}
 		return nil
 	}
 
-	spec := env.bufs[env.launch.Args[s.Buf].Buf]
+	b := &env.bufs[env.launch.Args[s.Buf].Buf]
 	off := elem.v * s.Scale
 	end := off + int64(s.Bytes) // first byte past the access
 	if !st.Executed {
@@ -165,30 +198,30 @@ func evalAccess(env *threadEnv, s *Stmt) error {
 	if off < 0 {
 		st.AnyNeg = true
 	}
-	if off < 0 || end > int64(spec.Size()) {
+	if off < 0 || end > b.size {
 		st.AnyOOB = true
 	}
-	if off < 0 || end > int64(spec.Padded()) {
+	if off < 0 || end > b.padded {
 		st.AnyPadOOB = true
 	}
 
 	if s.Kind == SLoad {
-		env.vars[s.Var] = loadValue(spec, off, s.Bytes)
+		env.setVar(s.Var, b.load(off, s.Bytes))
 	}
 	return nil
 }
 
-// loadValue models what the device returns for an in-bounds load. Only
+// load models what the device returns for an in-bounds load. Only
 // 8-byte-aligned 8-byte loads from read-only buffers are predictable (they
 // return the host Init verbatim and can never have been overwritten or
 // squashed); everything else is tainted.
-func loadValue(spec BufSpec, off int64, bytes int) tval {
-	if !spec.ReadOnly || bytes != 8 || off < 0 || off%8 != 0 || off+8 > int64(spec.Size()) {
+func (b *bufInfo) load(off int64, bytes int) tval {
+	if !b.readOnly || bytes != 8 || off < 0 || off%8 != 0 || off+8 > b.size {
 		return tval{taint: true}
 	}
 	idx := off / 8
-	if idx < int64(len(spec.Init)) {
-		return tval{v: spec.Init[idx]}
+	if idx < int64(len(b.init)) {
+		return tval{v: b.init[idx]}
 	}
 	return tval{} // zero-initialized tail
 }
@@ -215,11 +248,10 @@ func evalExpr(env *threadEnv, e *Expr) (tval, error) {
 		// pointer, unknowable to the generator.
 		return tval{taint: true}, nil
 	case ExVar:
-		v, ok := env.vars[e.Var]
-		if !ok {
+		if e.Var < 0 || e.Var >= len(env.vars) || !env.vars[e.Var].set {
 			return tval{}, fmt.Errorf("read of unset var %d", e.Var)
 		}
-		return v, nil
+		return env.vars[e.Var].val, nil
 	}
 
 	x, err := evalExpr(env, e.X)

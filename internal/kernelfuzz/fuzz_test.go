@@ -184,25 +184,7 @@ func TestWriteSeedCorpus(t *testing.T) {
 	for _, idx := range []int{1, 2, 3, 4, 5} {
 		c := Generate(2026, idx)
 		victim := c.PlantedSites[0]
-		oracle := func(ctx context.Context, m *Case, o oracleOpts) []Finding {
-			if fs := runCase(ctx, m, o); len(fs) > 0 {
-				return nil
-			}
-			truth, err := EvalTruth(m)
-			if err != nil {
-				return nil
-			}
-			s := siteByID(m, victim)
-			if s == nil {
-				return nil
-			}
-			st := truth[victim]
-			if (s.Opaque && st.Executed) || (!s.Opaque && st.AnyOOB) {
-				return []Finding{{Kind: FindShieldMissed, SiteID: victim}}
-			}
-			return nil
-		}
-		small := shrinkWith(ctx, c, Finding{Kind: FindShieldMissed, SiteID: victim}, 400, opts, oracle)
+		small := shrinkWith(ctx, c, Finding{Kind: FindShieldMissed, SiteID: victim}, 400, opts, seedCorpusOracle(victim))
 		// The shrunk case must still be disagreement-free on the real
 		// oracle before it becomes a corpus expectation.
 		if fs := runCase(ctx, small, opts); len(fs) > 0 {
@@ -289,6 +271,30 @@ func TestWriteSeedCorpus(t *testing.T) {
 		if err := SaveEntry(corpusDir, entry); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// seedCorpusOracle is the target the planted seed-corpus entries are
+// shrunk against: the planted site must still fault per ground truth AND
+// the real oracle must remain disagreement-free.
+func seedCorpusOracle(victim int) oracleFunc {
+	return func(ctx context.Context, m *Case, o oracleOpts) []Finding {
+		if fs := runCase(ctx, m, o); len(fs) > 0 {
+			return nil
+		}
+		truth, err := EvalTruth(m)
+		if err != nil {
+			return nil
+		}
+		s := siteByID(m, victim)
+		if s == nil {
+			return nil
+		}
+		st := truth[victim]
+		if (s.Opaque && st.Executed) || (!s.Opaque && st.AnyOOB) {
+			return []Finding{{Kind: FindShieldMissed, SiteID: victim}}
+		}
+		return nil
 	}
 }
 

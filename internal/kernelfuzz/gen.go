@@ -18,8 +18,10 @@ package kernelfuzz
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"gpushield/internal/kernel"
+	"gpushield/internal/randsrc"
 )
 
 // PlantClass enumerates what a generated case deliberately plants.
@@ -249,11 +251,18 @@ func (g *gen) site(launch, buf, bytes int, methodC, store bool) *Site {
 
 func (g *gen) pick(vals ...int) int { return vals[g.rng.Intn(len(vals))] }
 
+// genRands recycles Generate's random streams: a source is 4.9 KB, and
+// re-seeding one in place is cheaper than building a new one per case.
+var genRands = sync.Pool{New: func() any { return rand.New(randsrc.New(0)) }}
+
 // Generate builds case `index` of stream `seed`. The same (seed, index)
 // always yields the same case, independent of every other case.
 func Generate(seed int64, index int) *Case {
 	c := &Case{Seed: seed, Index: index, Class: ClassForIndex(index)}
-	g := &gen{rng: rand.New(rand.NewSource(caseSeed(seed, index, 0xF0))), c: c}
+	rng := genRands.Get().(*rand.Rand)
+	defer genRands.Put(rng)
+	rng.Seed(caseSeed(seed, index, 0xF0))
+	g := &gen{rng: rng, c: c}
 	switch c.Class {
 	case PlantNone:
 		g.genBenign()

@@ -9,12 +9,22 @@ import "encoding/binary"
 // implementation detail independent of the architectural page size.
 const chunkBytes = 1 << 12
 
+// freeChunksMax caps the chunks Reset keeps for reuse (64 × 4 KB = 256 KB).
+// A fuzz leg touches 2–9 chunks, so its resets never allocate one; a device
+// that grew past the cap — the daemon recycles one past its allocation
+// high-water mark — keeps only the cap and the rest is collected.
+const freeChunksMax = 64
+
 // Backing is the byte-addressable storage behind simulated device memory.
 // It is sparse: chunks materialize on first touch, so a 48-bit address space
 // costs only what is actually used. All addresses are physical (the
 // simulator uses identity virtual→physical mapping after tag stripping).
 type Backing struct {
 	chunks map[uint64][]byte
+
+	// free holds chunks a Reset released, at most freeChunksMax of them;
+	// chunk zeroes one before handing it out.
+	free [][]byte
 
 	// One-entry chunk cache: functional memory traffic is heavily clustered
 	// (a warp's lanes touch neighbouring addresses), so the last chunk
@@ -30,9 +40,16 @@ func NewBacking() *Backing {
 	return m
 }
 
-// Reset empties the store: every chunk is dropped (so its memory can be
-// collected) along with the one-entry chunk cache. The map keeps its buckets.
+// Reset empties the store and the one-entry chunk cache. Up to
+// freeChunksMax chunks move to the free list for reuse; the others are
+// dropped so their memory can be collected. The map keeps its buckets.
 func (m *Backing) Reset() {
+	for _, c := range m.chunks {
+		if len(m.free) == freeChunksMax {
+			break
+		}
+		m.free = append(m.free, c)
+	}
 	clear(m.chunks)
 	m.lastBase = 0
 	m.lastChunk = nil
@@ -47,7 +64,13 @@ func (m *Backing) chunk(addr uint64) []byte {
 	}
 	c, ok := m.chunks[base]
 	if !ok {
-		c = make([]byte, chunkBytes)
+		if n := len(m.free); n > 0 {
+			c = m.free[n-1]
+			m.free = m.free[:n-1]
+			clear(c)
+		} else {
+			c = make([]byte, chunkBytes)
+		}
 		m.chunks[base] = c
 	}
 	m.lastBase, m.lastChunk = base, c

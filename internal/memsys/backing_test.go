@@ -80,3 +80,79 @@ func TestBackingScalarPathDoesNotAllocate(t *testing.T) {
 		t.Fatalf("scalar path allocates: %v allocs/run", avg)
 	}
 }
+
+// TestBackingResetRecyclesZeroedChunks fills more chunks than the free list
+// keeps, chunk-straddling writes included, resets, and touches as many new
+// addresses as there are free chunks: each must get one of the old chunks
+// back (no allocation) and read zero in every byte through ReadUint,
+// ReadBytes and Span. The chunks past the cap are dropped.
+func TestBackingResetRecyclesZeroedChunks(t *testing.T) {
+	m := NewBacking()
+	const filled = freeChunksMax + 36
+	pattern := make([]byte, chunkBytes)
+	for i := range pattern {
+		pattern[i] = byte(i*7 + 1)
+	}
+	old := map[*byte]bool{}
+	for i := 0; i < filled; i++ {
+		base := uint64(i) * 3 * chunkBytes // every third chunk
+		m.WriteBytes(base, pattern)
+		m.WriteUint(base+chunkBytes-4, ^uint64(0), 8) // straddles into the next chunk
+		m.WriteUint64(base+chunkBytes+8, 0x0123456789ABCDEF)
+	}
+	for _, c := range m.chunks {
+		old[&c[0]] = true
+	}
+	if len(old) != 2*filled {
+		t.Fatalf("filled %d chunks, want %d", len(old), 2*filled)
+	}
+
+	m.Reset()
+	if len(m.free) != freeChunksMax {
+		t.Fatalf("free list holds %d chunks after reset, want %d", len(m.free), freeChunksMax)
+	}
+	if len(m.chunks) != 0 || m.FootprintBytes() != 0 {
+		t.Fatalf("reset left %d chunks mapped", len(m.chunks))
+	}
+
+	// Touch freeChunksMax new chunks (other addresses than before), each
+	// first through a different read path, then check every byte.
+	for i := 0; i < freeChunksMax; i++ {
+		base := uint64(i)*5*chunkBytes + 7*chunkBytes
+		switch i % 3 {
+		case 0:
+			_ = m.ReadUint(base, 8)
+		case 1:
+			_ = m.ReadBytes(base, 1)
+		case 2:
+			_ = m.Span(base, 16)
+		}
+		c := m.chunks[base/chunkBytes]
+		if !old[&c[0]] {
+			t.Fatalf("chunk %d: allocated anew although the free list held %d chunks", i, len(m.free)+1)
+		}
+		for off := uint64(0); off < chunkBytes; off += 8 {
+			if v := m.ReadUint(base+off, 8); v != 0 {
+				t.Fatalf("chunk %d offset %d: ReadUint = %#x after reuse", i, off, v)
+			}
+		}
+		for _, b := range m.ReadBytes(base, chunkBytes) {
+			if b != 0 {
+				t.Fatalf("chunk %d: ReadBytes sees a non-zero byte after reuse", i)
+			}
+		}
+		for _, b := range m.Span(base, chunkBytes) {
+			if b != 0 {
+				t.Fatalf("chunk %d: Span sees a non-zero byte after reuse", i)
+			}
+		}
+	}
+	if len(m.free) != 0 {
+		t.Fatalf("free list holds %d chunks after %d touches, want 0", len(m.free), freeChunksMax)
+	}
+	// The next new chunk is a fresh allocation.
+	m.WriteUint64(1<<40, 1)
+	if c := m.chunks[(1<<40)/chunkBytes]; old[&c[0]] {
+		t.Fatalf("chunk past the free list reused an old chunk")
+	}
+}

@@ -87,9 +87,9 @@ func TestFreshDeviceAllocs(t *testing.T) {
 }
 
 // TestResetDeviceAllocs bounds the same sequence on a reset pair. The reset
-// keeps every line array, arena and map bucket, so what remains is the
-// launch itself (RBT, tagged arguments, report) and the backing chunks it
-// touches: about 45 objects.
+// keeps every line array, arena and map bucket, and the backing chunks the
+// launch touches come from the store's free list, so what remains is the
+// launch itself (RBT, tagged arguments, report): about 42 objects.
 func TestResetDeviceAllocs(t *testing.T) {
 	k := buildAllocKernel(t)
 	dev := driver.NewDevice(1)

@@ -250,6 +250,7 @@ var resetKeeps = map[string]bool{
 	"coreState.wgPool":     true, // workgroup arena
 	"coreState.rowScratch": true, // ALU broadcast and partial-write scratch
 	"coreState.sPrep":      true, // memory-instruction scratch
+	"Backing.free":         true, // chunks kept for reuse, zeroed before any use
 	"BCU.gen":              true, // moves forward on reset, never back
 }
 

@@ -17,6 +17,7 @@ import (
 	"gpushield/internal/compiler"
 	"gpushield/internal/driver"
 	"gpushield/internal/kernel"
+	"gpushield/internal/randsrc"
 )
 
 // Categories used in Table 6 and Fig. 14.
@@ -145,7 +146,7 @@ func Rodinia() []Benchmark {
 func rng(name string) *rand.Rand {
 	h := fnv.New64a()
 	h.Write([]byte(name))
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	return rand.New(randsrc.New(int64(h.Sum64())))
 }
 
 // fillU32 fills buffer b with n uint32 values in [0, mod).
