@@ -3,6 +3,7 @@ package kernel
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // B2F converts register bits to a float64 value.
@@ -78,6 +79,12 @@ func (b *Builder) NewReg() Operand {
 	r := b.nextReg
 	b.nextReg++
 	return Reg(r)
+}
+
+// Grow makes room for n more instructions, so a caller that knows the
+// kernel's length can have Code allocated once.
+func (b *Builder) Grow(n int) {
+	b.k.Code = slices.Grow(b.k.Code, n)
 }
 
 func (b *Builder) emit(in Instr) int {

@@ -1,6 +1,9 @@
 package kernel
 
-import "unicode/utf8"
+import (
+	"bytes"
+	"unicode/utf8"
+)
 
 // The canonical fast path of DecodeJSON. EncodeJSON writes exactly one byte
 // sequence per kernel, and kernelDecoder reads that sequence back token for
@@ -161,7 +164,10 @@ func (d *kernelDecoder) kernel(k *Kernel) bool {
 		return false
 	}
 	k.Name = string(name)
-	n, ok := d.list(1, func(int) bool {
+	n, ok := d.list(1, func(i int) bool {
+		if i == 0 {
+			k.Params = make([]ParamSpec, 0, d.count(`"Kind": `))
+		}
 		k.Params = append(k.Params, ParamSpec{})
 		return d.param(&k.Params[len(k.Params)-1])
 	})
@@ -187,7 +193,10 @@ func (d *kernelDecoder) kernel(k *Kernel) bool {
 	if k.NumRegs, ok = d.int(); !ok || !d.field(1, false, "Code") {
 		return false
 	}
-	n, ok = d.list(1, func(int) bool {
+	n, ok = d.list(1, func(i int) bool {
+		if i == 0 {
+			k.Code = make([]Instr, 0, d.count(`"op": `))
+		}
 		k.Code = append(k.Code, Instr{})
 		return d.instr(&k.Code[len(k.Code)-1])
 	})
@@ -195,6 +204,14 @@ func (d *kernelDecoder) kernel(k *Kernel) bool {
 		k.Code = []Instr{}
 	}
 	return ok && d.newline(0) && d.byte('}')
+}
+
+// count returns how often key occurs in the rest of the input: the length
+// of the list starting there when key is the member that each element has
+// exactly once and no other value has. In input the fast path accepts, no
+// string holds a '"', so a quoted key cannot occur inside one.
+func (d *kernelDecoder) count(key string) int {
+	return bytes.Count(d.data[d.pos:], []byte(key))
 }
 
 func (d *kernelDecoder) param(p *ParamSpec) bool {

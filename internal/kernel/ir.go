@@ -19,6 +19,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Op enumerates IR opcodes.
@@ -319,6 +320,23 @@ type Kernel struct {
 	SharedBytes int // per-workgroup shared memory
 	NumRegs     int // per-lane registers used
 	Code        []Instr
+}
+
+// Equal reports whether a and b are deeply equal, exactly as
+// reflect.DeepEqual(a, b) does: two nil kernels are equal, and a nil
+// slice differs from an empty one. Every element type is comparable, so an
+// instruction is compared with one !=.
+func Equal(a, b *Kernel) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Name == b.Name && a.SharedBytes == b.SharedBytes && a.NumRegs == b.NumRegs &&
+		sliceEqual(a.Params, b.Params) && sliceEqual(a.Locals, b.Locals) && sliceEqual(a.Code, b.Code)
+}
+
+// sliceEqual is reflect.DeepEqual on slices of a comparable type.
+func sliceEqual[T comparable](x, y []T) bool {
+	return (x == nil) == (y == nil) && slices.Equal(x, y)
 }
 
 // Validation sentinel errors. Validate wraps every rejection in one of

@@ -255,18 +255,28 @@ func (p *ParamKind) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// EncodeJSON serializes the kernel (indented, stable field order). The
-// output is exactly json.MarshalIndent(k, "", "  ") — the MarshalJSON
-// methods above are the reference — but it is appended into one buffer
-// instead of marshaling every instruction and operand through reflection.
-// A kernel with an undefined opcode, space, special, operand kind or
-// parameter kind goes to encoding/json, which reports the error.
+// EncodeJSON serializes the kernel (indented, stable field order) into a
+// new buffer; see AppendJSON.
 func (k *Kernel) EncodeJSON() ([]byte, error) {
-	e := kernelEncoder{buf: make([]byte, 0, 256+160*len(k.Code))}
-	if !e.kernel(k) {
-		return json.MarshalIndent(k, "", "  ")
+	return k.AppendJSON(make([]byte, 0, 256+160*len(k.Code)))
+}
+
+// AppendJSON appends what EncodeJSON returns to dst. The output is exactly
+// json.MarshalIndent(k, "", "  ") — the MarshalJSON methods above are the
+// reference — but it is appended into one buffer instead of marshaling
+// every instruction and operand through reflection. A kernel with an
+// undefined opcode, space, special, operand kind or parameter kind goes to
+// encoding/json, which reports the error; dst is then returned unchanged.
+func (k *Kernel) AppendJSON(dst []byte) ([]byte, error) {
+	e := kernelEncoder{buf: dst}
+	if e.kernel(k) {
+		return e.buf, nil
 	}
-	return e.buf, nil
+	b, err := json.MarshalIndent(k, "", "  ")
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, b...), nil
 }
 
 // kernelEncoder appends the indented JSON form of a kernel. Each method

@@ -32,9 +32,10 @@ type tval struct {
 	taint bool
 }
 
-// threadEnv carries the evaluation state of one case. EvalTruth uses one
-// for every thread of every launch: the thread IDs and the variables' set
-// bits are reset before each thread, and every loop pops what it pushed.
+// threadEnv carries the evaluation state of one case. The per-thread
+// evaluator uses one for every thread of every launch: the thread IDs and
+// the variables' set bits are reset before each thread, and every loop
+// pops what it pushed.
 type threadEnv struct {
 	tid, ctaid, gtid int64
 	launch           *LaunchSpec
@@ -44,8 +45,8 @@ type threadEnv struct {
 	sites            []SiteTruth // by site ID
 }
 
-// varSlot is one variable of the current thread; set is false until an
-// SLoad writes it.
+// varSlot is one variable of one thread; set is false until an SLoad
+// writes it.
 type varSlot struct {
 	val tval
 	set bool
@@ -65,25 +66,57 @@ const evalBudget = 1 << 16
 // EvalTruth runs every launch of the case over every thread with exact Go
 // int64 (wrapping) semantics and returns per-site ground truth keyed by
 // site ID. Malformed cases have no truth.
+//
+// Each launch is evaluated once across all of its threads (vecEnv). Where
+// the per-thread evaluator below would fail, or a case is outside what the
+// vectorized one handles, the vectorized evaluator gives up, and the
+// per-thread evaluator runs the case again from a cleared site table, so an
+// error and the truth gathered before it are the per-thread evaluator's.
 func EvalTruth(c *Case) (map[int]*SiteTruth, error) {
-	// Shrunk cases keep their original site IDs, so the slice is sized by
+	truth, _, err := evalTruth(c)
+	return truth, err
+}
+
+// evalTruth is EvalTruth; perThread reports whether the vectorized
+// evaluator gave up and the per-thread evaluator answered.
+func evalTruth(c *Case) (truth map[int]*SiteTruth, perThread bool, err error) {
+	env := newThreadEnv(c)
+	truth = make(map[int]*SiteTruth, len(c.Sites))
+	for _, s := range c.Sites {
+		truth[s.ID] = &env.sites[s.ID]
+	}
+	if c.Malformed != nil {
+		return truth, false, nil
+	}
+	v := vecEnvs.Get().(*vecEnv)
+	ok := v.eval(c, env.sites, env.bufs)
+	vecEnvs.Put(v)
+	if ok {
+		return truth, false, nil
+	}
+	clear(env.sites)
+	return truth, true, evalThreads(c, &env)
+}
+
+// newThreadEnv returns the state c's evaluation starts from: a zero site
+// table and what accesses need of its buffers.
+func newThreadEnv(c *Case) threadEnv {
+	// Shrunk cases keep their original site IDs, so the table is sized by
 	// the largest one rather than by the number of sites.
 	maxID := -1
 	for _, s := range c.Sites {
 		maxID = max(maxID, s.ID)
 	}
-	env := &threadEnv{sites: make([]SiteTruth, maxID+1)}
-	truth := make(map[int]*SiteTruth, len(c.Sites))
-	for _, s := range c.Sites {
-		truth[s.ID] = &env.sites[s.ID]
-	}
-	if c.Malformed != nil {
-		return truth, nil
-	}
-	env.bufs = make([]bufInfo, len(c.Bufs))
+	env := threadEnv{sites: make([]SiteTruth, maxID+1), bufs: make([]bufInfo, len(c.Bufs))}
 	for i, b := range c.Bufs {
 		env.bufs[i] = bufInfo{size: int64(b.Size()), padded: int64(b.Padded()), readOnly: b.ReadOnly, init: b.Init}
 	}
+	return env
+}
+
+// evalThreads is the per-thread evaluator: it runs each thread of each
+// launch through the AST on its own.
+func evalThreads(c *Case, env *threadEnv) error {
 	for li := range c.Launches {
 		l := &c.Launches[li]
 		env.launch = l
@@ -93,11 +126,11 @@ func EvalTruth(c *Case) (map[int]*SiteTruth, error) {
 			clear(env.vars)
 			budget := evalBudget
 			if err := evalStmts(env, l.Body, &budget); err != nil {
-				return truth, fmt.Errorf("launch %d thread %d: %w", li, t, err)
+				return fmt.Errorf("launch %d thread %d: %w", li, t, err)
 			}
 		}
 	}
-	return truth, nil
+	return nil
 }
 
 // setVar writes variable v of the current thread.

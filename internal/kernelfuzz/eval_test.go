@@ -13,16 +13,21 @@ import (
 
 // checkTruth requires EvalTruth to return what the map-based reference
 // (eval_ref_test.go) returns on c: a reflect.DeepEqual truth map, partial
-// ones after an error included, and the same error text.
+// ones after an error included, and the same error text. The per-thread
+// fallback must have answered exactly when there is an error: every case
+// that has truth takes the vectorized path.
 func checkTruth(t *testing.T, label string, c *Case) error {
 	t.Helper()
-	got, gotErr := EvalTruth(c)
+	got, perThread, gotErr := evalTruth(c)
 	want, wantErr := evalTruthRef(c)
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 		t.Fatalf("%s: EvalTruth error %v, reference %v", label, gotErr, wantErr)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: EvalTruth truth differs from the reference:\n%s\n--- vs ---\n%s", label, truthDump(got), truthDump(want))
+	}
+	if perThread != (gotErr != nil) {
+		t.Fatalf("%s: answered by the per-thread evaluator = %v, error %v", label, perThread, gotErr)
 	}
 	return gotErr
 }
@@ -144,7 +149,9 @@ func TestEvalTruthMatchesReferenceWhileShrinking(t *testing.T) {
 
 // TestEvalTruthErrorsMatchReference compares the evaluators on hand-built
 // cases that fail part-way through, so the truth gathered before the error
-// is compared too.
+// is compared too, and on hand-built cases that take the vectorized
+// evaluator where it differs most from the per-thread one: variables and
+// budgets per thread and per launch, and narrowed active threads.
 func TestEvalTruthErrorsMatchReference(t *testing.T) {
 	// A 64-element writable buffer (arg 0), a read-only one (arg 1) and a
 	// scalar (arg 2); the body fills in per case.
@@ -172,6 +179,21 @@ func TestEvalTruthErrorsMatchReference(t *testing.T) {
 	load := func(buf int, elem *Expr, v int) *Stmt { return access(SLoad, buf, elem, v) }
 	ifLT := func(x *Expr, k int64, body ...*Stmt) *Stmt {
 		return &Stmt{Kind: SIf, Cond: bin(ExLT, x, konst(k)), Body: body}
+	}
+	ifGE := func(x *Expr, k int64, body ...*Stmt) *Stmt {
+		return &Stmt{Kind: SIf, Cond: bin(ExGE, x, konst(k)), Body: body}
+	}
+	// thenLaunch appends a second launch like the first with its own body.
+	thenLaunch := func(c *Case, body ...*Stmt) *Case {
+		l := c.Launches[0]
+		l.Body = body
+		c.Launches = append(c.Launches, l)
+		rebuildSites(c)
+		return c
+	}
+	opaque := func(s *Stmt) *Stmt {
+		s.Site.Opaque = true
+		return s
 	}
 	loop := func(start, bound, step int64, body ...*Stmt) *Stmt {
 		return &Stmt{Kind: SLoop, Start: start, Bound: bound, Step: step, Body: body}
@@ -206,6 +228,31 @@ func TestEvalTruthErrorsMatchReference(t *testing.T) {
 			func() *Case { return build(store(tid()), &Stmt{Kind: 9}) }},
 		{"expr kind", "launch 0 thread 0: eval of expr kind 99",
 			func() *Case { return build(store(&Expr{Kind: 99, X: tid(), Y: tid()})) }},
+		// Set bits do not survive a launch: launch 1 reads what launch 0
+		// loaded.
+		{"var set only in the previous launch", "launch 1 thread 0: read of unset var 0",
+			func() *Case { return thenLaunch(build(load(1, tid(), 0), store(evar(0))), store(evar(0))) }},
+		// Only the threads that take an If pay for its loop: every thread
+		// runs 40,000 trips, both loops together would exhaust its budget.
+		{"loops under complementary Ifs", "<nil>",
+			func() *Case {
+				return build(ifLT(tid(), 4, loop(0, 40000, 1)), ifGE(tid(), 4, loop(0, 40000, 1)), store(tid()))
+			}},
+		{"budget spent under an If", "launch 0 thread 4: loop budget exhausted (bound 30000 step 1)",
+			func() *Case { return build(ifGE(tid(), 4, loop(0, 40000, 1)), loop(0, 30000, 1, store(tid()))) }},
+		// Nested Ifs narrow the active threads to thread 4 alone, whose
+		// store is out of bounds.
+		{"nested Ifs down to one thread", "<nil>",
+			func() *Case {
+				return build(store(tid()), ifLT(gtid(), 5, ifGE(gtid(), 4, store(bin(ExAdd, gtid(), konst(60))))))
+			}},
+		// An opaque site may take a tainted index, here one loaded from the
+		// writable buffer and one from a raw pointer word.
+		{"opaque site with a tainted index", "<nil>",
+			func() *Case {
+				return build(load(0, tid(), 0), opaque(store(bin(ExAdd, evar(0), gtid()))),
+					opaque(load(0, bin(ExAdd, &Expr{Kind: ExParam, Arg: 1}, tid()), 1)), opaque(store(evar(1))))
+			}},
 		// No error: loads from the read-only buffer feed an address, and a
 		// load from the zero tail and an out-of-bounds store are recorded.
 		{"clean", "<nil>",
@@ -220,4 +267,40 @@ func TestEvalTruthErrorsMatchReference(t *testing.T) {
 			t.Errorf("%s: error %v, want %s", tc.name, got, tc.err)
 		}
 	}
+}
+
+// BenchmarkEvalTruth times ground truth on 700 generated cases, every plant
+// class included, through EvalTruth and through the per-thread evaluator
+// alone.
+func BenchmarkEvalTruth(b *testing.B) {
+	cases := make([]*Case, 700)
+	for i := range cases {
+		cases[i] = Generate(12345, i)
+	}
+	b.Run("EvalTruth", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			EvalTruth(cases[i%len(cases)])
+		}
+	})
+	b.Run("per-thread", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if c := cases[i%len(cases)]; c.Malformed == nil {
+				env := newThreadEnv(c)
+				evalThreads(c, &env)
+			}
+		}
+	})
+}
+
+// FuzzEvalTruth compares the evaluators on generated cases of arbitrary
+// streams and indices.
+func FuzzEvalTruth(f *testing.F) {
+	for _, seed := range []int64{1, 7, 12345} {
+		for i := 0; i < int(numPlantClasses); i++ {
+			f.Add(seed, i)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed int64, index int) {
+		checkTruth(t, fmt.Sprintf("seed %d case %d", seed, index), Generate(seed, index))
+	})
 }

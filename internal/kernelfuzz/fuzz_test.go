@@ -333,3 +333,26 @@ func TestCorpusEntryRoundTrip(t *testing.T) {
 		t.Fatalf("loaded entry does not replay: %v", err)
 	}
 }
+
+// TestEmitLenMatchesBuild requires emitLen, which sizes each kernel's Code
+// before BuildKernels emits it, to count exactly the instructions emitted
+// for every launch of 1,200 generated cases.
+func TestEmitLenMatchesBuild(t *testing.T) {
+	for _, seed := range []int64{1, 7, 12345} {
+		for i := 0; i < 400; i++ {
+			c := Generate(seed, i)
+			if c.Malformed != nil {
+				continue
+			}
+			kernels, err := BuildKernels(c)
+			if err != nil {
+				t.Fatalf("seed %d case %d: %v", seed, i, err)
+			}
+			for li, k := range kernels {
+				if want := emitLen(c.Launches[li].Body) + 1; len(k.Code) != want {
+					t.Fatalf("seed %d case %d launch %d: %d instructions, emitLen counts %d", seed, i, li, len(k.Code), want)
+				}
+			}
+		}
+	}
+}

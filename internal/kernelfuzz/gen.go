@@ -713,6 +713,7 @@ func BuildKernels(c *Case) ([]*kernel.Kernel, error) {
 				b.ScalarParam(fmt.Sprintf("s%d", ai))
 			}
 		}
+		b.Grow(emitLen(l.Body) + 1)
 		es := &emitState{b: b, vars: make(map[int]kernel.Operand)}
 		emitStmts(es, l.Body)
 		b.Exit()
@@ -772,6 +773,35 @@ func emitStmt(es *emitState, s *Stmt) {
 			emitStmts(es, s.Body)
 		})
 	}
+}
+
+// emitLen is the number of instructions emitStmts writes for body.
+func emitLen(body []*Stmt) int {
+	n := 0
+	for _, s := range body {
+		switch s.Kind {
+		case SLoad, SStore:
+			// The index, the address or offset, the base or value, the access.
+			n += exprLen(s.Elem) + 2 + exprLen(s.Base)
+			if s.Kind == SStore {
+				n += exprLen(s.Val)
+			}
+		case SLoop:
+			// ForRange: mov, set.lt, bra.all, body, add, mov, bra.
+			n += 6 + emitLen(s.Body)
+		case SIf:
+			n += exprLen(s.Cond) + 1 + emitLen(s.Body)
+		}
+	}
+	return n
+}
+
+// exprLen is the number of instructions emitExpr writes for e.
+func exprLen(e *Expr) int {
+	if e == nil || e.Kind < ExAdd {
+		return 0 // operands: immediates, special registers, params, bound registers
+	}
+	return 1 + exprLen(e.X) + exprLen(e.Y)
 }
 
 func emitExpr(es *emitState, e *Expr) kernel.Operand {

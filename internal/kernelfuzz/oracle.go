@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"reflect"
 	"sort"
 	"sync"
 
@@ -146,27 +145,30 @@ func runCase(ctx context.Context, c *Case, opts oracleOpts) (findings []Finding)
 	}
 
 	// Codec leg: every generated kernel must survive JSON losslessly, with
-	// byte-identical re-encoding (that is what the corpus relies on).
+	// byte-identical re-encoding (that is what the corpus relies on). Both
+	// encodings go into pooled buffers; the decoder copies what it keeps.
+	cb := codecPool.Get().(*codecBufs)
 	for li, k := range kernels {
-		enc, err := k.EncodeJSON()
-		if err != nil {
+		var err error
+		if cb.enc, err = k.AppendJSON(cb.enc[:0]); err != nil {
 			find(FindCodecMismatch, li, -1, -1, "encode: %v", err)
 			continue
 		}
-		back, err := kernel.DecodeJSON(enc)
+		back, err := kernel.DecodeJSON(cb.enc)
 		if err != nil {
 			find(FindCodecMismatch, li, -1, -1, "decode: %v", err)
 			continue
 		}
-		if !reflect.DeepEqual(k, back) {
+		if !kernel.Equal(k, back) {
 			find(FindCodecMismatch, li, -1, -1, "decoded kernel differs from original")
 			continue
 		}
-		enc2, err := back.EncodeJSON()
-		if err != nil || !bytes.Equal(enc, enc2) {
+		cb.enc2, err = back.AppendJSON(cb.enc2[:0])
+		if err != nil || !bytes.Equal(cb.enc, cb.enc2) {
 			find(FindCodecMismatch, li, -1, -1, "re-encoding not byte-identical (err=%v)", err)
 		}
 	}
+	codecPool.Put(cb)
 
 	truth, err := EvalTruth(c)
 	if err != nil {
@@ -232,6 +234,13 @@ func runCase(ctx context.Context, c *Case, opts oracleOpts) (findings []Finding)
 	findings = append(findings, runtimeLeg(ctx, c, kernels, analyses, driver.ModeShieldStatic, truth, opts)...)
 	return findings
 }
+
+// codecBufs holds the two encodings of a codec leg. runCase takes a pair
+// from codecPool per case, as runtime legs take their hardware from
+// hardwarePool.
+type codecBufs struct{ enc, enc2 []byte }
+
+var codecPool = sync.Pool{New: func() any { return new(codecBufs) }}
 
 // siteByID looks a site up by its stable ID. IDs are dense when freshly
 // generated but sparse after shrinking deletes statements.

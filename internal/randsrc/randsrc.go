@@ -9,6 +9,14 @@
 // table of the powers 48271^j, each a multiply and a division-free Mersenne
 // reduction, so the 1,841 products do not wait on one another.
 //
+// Seed does not compute the words at all: it stores the folded seed and
+// clears the array. The first rngTap draws after it read only words no
+// draw has written yet, so each computes its two words from the seed; the
+// draw after them computes the words still missing in one pass. A source
+// that is seeded and drawn a few times (a fuzz case, a device reset) pays
+// for the few words it touches, and a long sequence still computes each
+// word once.
+//
 // math/rand XORs each word with a fixed table (rngCooked). Seed recovers
 // that table once, on first use, from rand.NewSource(1): the first 607
 // values it draws are its whole state after 607 steps, and undoing those
@@ -39,6 +47,11 @@ const (
 type Source struct {
 	tap  int
 	feed int
+	// lazy is one more than the number of lazy draws left: a draw that
+	// leaves it above 0 computes its words from seed, and the draw that
+	// takes it to 0 fills in the rest of vec first.
+	lazy int
+	seed uint64 // the folded seed
 	vec  [rngLen]int64
 }
 
@@ -58,12 +71,11 @@ var (
 	cooked [rngLen]int64
 )
 
-// Seed sets the state rand.NewSource(seed) starts in.
+// Seed sets the state rand.NewSource(seed) starts in. The words are left
+// to the draws (see lazyUint64), and the array is cleared so that a
+// re-seeded Source is bit for bit New(seed), whatever it drew before.
 func (s *Source) Seed(seed int64) {
 	tablesOnce.Do(initTables)
-	s.tap = 0
-	s.feed = rngLen - rngTap
-
 	seed %= modulus
 	if seed < 0 {
 		seed += modulus
@@ -71,10 +83,12 @@ func (s *Source) Seed(seed int64) {
 	if seed == 0 {
 		seed = zeroSeed
 	}
-	x := uint64(seed)
-	for i := range s.vec {
-		s.vec[i] = chainWord(x, &pows[i]) ^ cooked[i]
-	}
+	*s = Source{feed: rngLen - rngTap, lazy: rngTap + 1, seed: uint64(seed)}
+}
+
+// word is state word i as math/rand seeds it.
+func (s *Source) word(i int) int64 {
+	return chainWord(s.seed, &pows[i]) ^ cooked[i]
 }
 
 // chainWord is the chain part of a state word under folded seed x: its
@@ -99,11 +113,23 @@ func mulMod(a, b uint64) uint64 {
 
 // Int63 returns a non-negative pseudo-random 63-bit integer as an int64.
 func (s *Source) Int63() int64 {
-	return int64(s.Uint64() & rngMask)
+	if s.lazy > 0 {
+		return int64(s.lazyUint64() & rngMask)
+	}
+	return int64(s.next() & rngMask)
 }
 
 // Uint64 returns a pseudo-random 64-bit value as a uint64.
 func (s *Source) Uint64() uint64 {
+	if s.lazy > 0 {
+		return s.lazyUint64()
+	}
+	return s.next()
+}
+
+// next is math/rand's step, once every word is set. Int63 and Uint64 each
+// test lazy themselves so that next inlines into both.
+func (s *Source) next() uint64 {
 	s.tap--
 	if s.tap < 0 {
 		s.tap += rngLen
@@ -115,6 +141,39 @@ func (s *Source) Uint64() uint64 {
 	x := s.vec[s.feed] + s.vec[s.tap]
 	s.vec[s.feed] = x
 	return uint64(x)
+}
+
+// lazyUint64 is a draw while lazy > 0. Draw d reads the tap word rngLen-d
+// and the feed word rngLen-rngTap-d and writes the feed word, so up to
+// draw rngTap no draw reads a word an earlier one wrote: each computes
+// both of its words from the seed and stores them. The draw that takes
+// lazy to 0 first computes, in one pass, every word the lazy draws left
+// unset (below the last feed word, and from rngLen-rngTap up to the last
+// tap word), and then steps as usual.
+func (s *Source) lazyUint64() uint64 {
+	s.lazy--
+	if s.lazy == 0 {
+		s.fill(0, s.feed)
+		s.fill(rngLen-rngTap, s.tap)
+		return s.next()
+	}
+	s.tap--
+	if s.tap < 0 {
+		s.tap += rngLen
+	}
+	s.feed--
+	t := s.word(s.tap)
+	x := s.word(s.feed) + t
+	s.vec[s.tap], s.vec[s.feed] = t, x
+	return uint64(x)
+}
+
+// fill sets words [lo, hi) as math/rand seeds them.
+func (s *Source) fill(lo, hi int) {
+	x, v, p, c := s.seed, s.vec[lo:hi], pows[lo:hi], cooked[lo:hi]
+	for i := range v {
+		v[i] = chainWord(x, &p[i]) ^ c[i]
+	}
 }
 
 // initTables fills the power table and recovers the cooked table.

@@ -127,6 +127,42 @@ func TestReseedMatchesMathRand(t *testing.T) {
 	}
 }
 
+// TestReseedAfterDraws re-seeds a source after n draws, for n on both sides
+// of the last lazy draw (rngTap) and of the first pass over the array
+// (rngLen), and then compares it with math/rand through every method. A
+// re-seeded source must also be bit for bit a new one: Seed clears the
+// words its draws left behind.
+func TestReseedAfterDraws(t *testing.T) {
+	counts := []int{0, 1, rngTap - 1, rngTap, rngTap + 1, rngLen - 1, rngLen, rngLen + 1, draws}
+	for _, n := range counts {
+		for m := range methods {
+			src, ref := New(5), rand.NewSource(5).(rand.Source64)
+			for i := 0; i < n; i++ {
+				if g, w := src.Uint64(), ref.Uint64(); g != w {
+					t.Fatalf("draw %d before the re-seed = %d, math/rand %d", i, g, w)
+				}
+			}
+			seed := int64(1000*n + m)
+			got, want := rand.New(src), rand.New(ref)
+			if m%2 == 0 {
+				src.Seed(seed)
+				ref.Seed(seed)
+			} else {
+				got.Seed(seed)
+				want.Seed(seed)
+			}
+			if *src != *New(seed) {
+				t.Fatalf("re-seeded after %d draws: the source differs from New(%d)", n, seed)
+			}
+			for i := 0; i < draws; i++ {
+				if msg, ok := drawBoth(m, got, want, i); !ok {
+					t.Fatalf("re-seeded after %d draws: %s", n, msg)
+				}
+			}
+		}
+	}
+}
+
 // TestMulMod checks the Mersenne reduction against the % operator at the
 // edges of its domain and on random operands.
 func TestMulMod(t *testing.T) {
@@ -148,19 +184,23 @@ func TestMulMod(t *testing.T) {
 }
 
 // FuzzSource checks the same property on arbitrary seed pairs: identical
-// draws after seeding, and again after re-seeding the used sources.
+// draws after seeding, and again after re-seeding sources that drew a
+// fuzzed number of values (up to two passes over the array) first.
 func FuzzSource(f *testing.F) {
-	for _, s := range namedSeeds {
-		f.Add(s, -s)
+	for i, s := range namedSeeds {
+		f.Add(s, -s, uint16([]int{0, 1, rngTap, rngTap + 1, rngLen}[i%5]))
 	}
-	f.Fuzz(func(t *testing.T, seed, reseed int64) {
+	f.Fuzz(func(t *testing.T, seed, reseed int64, n uint16) {
 		got, want := rand.New(New(seed)), rand.New(rand.NewSource(seed))
 		for round, s := range []int64{seed, reseed} {
-			if round == 1 {
+			draws := 2 * rngLen
+			if round == 0 {
+				draws = int(n) % (2*rngLen + 1)
+			} else {
 				got.Seed(s)
 				want.Seed(s)
 			}
-			for i := 0; i < 2*rngLen; i++ {
+			for i := 0; i < draws; i++ {
 				if msg, ok := drawBoth(i%len(methods), got, want, i); !ok {
 					t.Fatalf("seed %d: %s", s, msg)
 				}
@@ -168,3 +208,24 @@ func FuzzSource(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkSeedDraw times a re-seed and the first n draws through
+// rand.Rand, the shape of a fuzz case (a few draws per source) and of a
+// workload data set (many).
+func BenchmarkSeedDraw(b *testing.B) {
+	for _, n := range []int{10, 100, 1000} {
+		b.Run(fmt.Sprintf("draws=%d", n), func(b *testing.B) {
+			r := rand.New(New(1))
+			var sink int64
+			for i := 0; i < b.N; i++ {
+				r.Seed(int64(i))
+				for j := 0; j < n; j++ {
+					sink += r.Int63()
+				}
+			}
+			benchSink = sink
+		})
+	}
+}
+
+var benchSink int64
