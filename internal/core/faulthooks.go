@@ -60,7 +60,7 @@ func corruptEntry(entries []RCacheEntry, idx int, idMask uint16, baseMask uint64
 // decrypt pointer payloads with the wrong key and so look up the wrong (most
 // likely invalid) RBT entry. Reports whether the kernel was installed.
 func (b *BCU) PerturbKey(kernelID uint16, mask uint64) bool {
-	ctx := b.kernels[kernelID]
+	ctx := b.ctx(kernelID)
 	if ctx == nil || mask == 0 {
 		return false
 	}

@@ -34,7 +34,10 @@ func (s RCacheStats) HitRate() float64 {
 type L1RCache struct {
 	entries []RCacheEntry
 	next    int // FIFO insertion cursor
-	Stats   RCacheStats
+	// dirty is set by Insert and cleared by Flush: a clean cache holds no
+	// valid entry, so flushing it has nothing to clear.
+	dirty bool
+	Stats RCacheStats
 }
 
 // NewL1RCache returns an L1 RCache with n entries.
@@ -64,12 +67,18 @@ func (c *L1RCache) Lookup(kernelID, id uint16) (Bounds, bool) {
 func (c *L1RCache) Insert(kernelID, id uint16, b Bounds) {
 	c.entries[c.next] = RCacheEntry{ID: id, KernelID: kernelID, Bounds: b, valid: true}
 	c.next = (c.next + 1) % len(c.entries)
+	c.dirty = true
 }
 
-// Flush invalidates all entries (kernel termination / context switch).
+// Flush invalidates all entries (kernel termination / context switch). A
+// clean cache is already in that state.
 func (c *L1RCache) Flush() {
+	if !c.dirty {
+		return
+	}
 	clear(c.entries)
 	c.next = 0
+	c.dirty = false
 }
 
 // Reset returns the cache to its constructed state: flushed, with the
@@ -89,6 +98,7 @@ type L2RCache struct {
 	entries []RCacheEntry
 	lastUse []uint64
 	tick    uint64
+	dirty   bool // as in L1RCache
 	Stats   RCacheStats
 }
 
@@ -132,13 +142,19 @@ func (c *L2RCache) Insert(kernelID, id uint16, b Bounds) {
 	}
 	c.entries[victim] = RCacheEntry{ID: id, KernelID: kernelID, Bounds: b, valid: true}
 	c.lastUse[victim] = c.tick
+	c.dirty = true
 }
 
 // Flush invalidates all entries. The LRU clock and the statistics keep
-// running.
+// running. A clean cache has no valid entry and, since only a hit or an
+// Insert stamps one, no use stamp either, so there is nothing to clear.
 func (c *L2RCache) Flush() {
+	if !c.dirty {
+		return
+	}
 	clear(c.entries)
 	clear(c.lastUse)
+	c.dirty = false
 }
 
 // Reset returns the cache to its constructed state: flushed, with the LRU

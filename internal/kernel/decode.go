@@ -1,7 +1,7 @@
 package kernel
 
 import (
-	"bytes"
+	"sync"
 	"unicode/utf8"
 )
 
@@ -19,9 +19,12 @@ import (
 // decodeCanonical decodes data if it is byte for byte what EncodeJSON writes
 // for some kernel and reports false otherwise.
 func decodeCanonical(data []byte) (*Kernel, bool) {
-	d := kernelDecoder{data: data}
+	d := kernelDecoder{data: data, scratch: scratchPool.Get().(*decodeScratch)}
 	k := new(Kernel)
-	if !d.kernel(k) || d.pos != len(data) {
+	ok := d.kernel(k) && d.pos == len(data)
+	clear(d.scratch.params) // the names would pin their kernel's strings
+	scratchPool.Put(d.scratch)
+	if !ok {
 		return nil, false
 	}
 	return k, true
@@ -30,8 +33,29 @@ func decodeCanonical(data []byte) (*Kernel, bool) {
 // kernelDecoder consumes the input from pos. Each method reports false at
 // the first byte that kernelEncoder would not have written there.
 type kernelDecoder struct {
-	data []byte
-	pos  int
+	data    []byte
+	pos     int
+	scratch *decodeScratch
+}
+
+// decodeScratch holds the Params and Code elements while they are decoded:
+// a list's length is known only at its closing bracket, and the kernel then
+// gets a copy of exactly that length.
+type decodeScratch struct {
+	params []ParamSpec
+	code   []Instr
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}
+
+// exact returns the n decoded elements of a list as a slice of exactly
+// that length: nil for null (n < 0), as encoding/json decodes it, and an
+// empty slice for [].
+func exact[T any](s []T, n int) []T {
+	if n < 0 {
+		return nil
+	}
+	return append(make([]T, 0, n), s[:n]...)
 }
 
 func (d *kernelDecoder) byte(c byte) bool {
@@ -164,19 +188,16 @@ func (d *kernelDecoder) kernel(k *Kernel) bool {
 		return false
 	}
 	k.Name = string(name)
-	n, ok := d.list(1, func(i int) bool {
-		if i == 0 {
-			k.Params = make([]ParamSpec, 0, d.count(`"Kind": `))
-		}
-		k.Params = append(k.Params, ParamSpec{})
-		return d.param(&k.Params[len(k.Params)-1])
+	ps := d.scratch.params[:0]
+	n, ok := d.list(1, func(int) bool {
+		ps = append(ps, ParamSpec{})
+		return d.param(&ps[len(ps)-1])
 	})
-	if n == 0 {
-		k.Params = []ParamSpec{}
-	}
+	d.scratch.params = ps
 	if !ok || !d.field(1, false, "Locals") {
 		return false
 	}
+	k.Params = exact(ps, n)
 	n, ok = d.list(1, func(int) bool {
 		k.Locals = append(k.Locals, LocalVar{})
 		return d.local(&k.Locals[len(k.Locals)-1])
@@ -193,25 +214,17 @@ func (d *kernelDecoder) kernel(k *Kernel) bool {
 	if k.NumRegs, ok = d.int(); !ok || !d.field(1, false, "Code") {
 		return false
 	}
-	n, ok = d.list(1, func(i int) bool {
-		if i == 0 {
-			k.Code = make([]Instr, 0, d.count(`"op": `))
-		}
-		k.Code = append(k.Code, Instr{})
-		return d.instr(&k.Code[len(k.Code)-1])
+	code := d.scratch.code[:0]
+	n, ok = d.list(1, func(int) bool {
+		code = append(code, Instr{})
+		return d.instr(&code[len(code)-1])
 	})
-	if n == 0 {
-		k.Code = []Instr{}
+	d.scratch.code = code
+	if !ok || !d.newline(0) || !d.byte('}') {
+		return false
 	}
-	return ok && d.newline(0) && d.byte('}')
-}
-
-// count returns how often key occurs in the rest of the input: the length
-// of the list starting there when key is the member that each element has
-// exactly once and no other value has. In input the fast path accepts, no
-// string holds a '"', so a quoted key cannot occur inside one.
-func (d *kernelDecoder) count(key string) int {
-	return bytes.Count(d.data[d.pos:], []byte(key))
+	k.Code = exact(code, n)
+	return true
 }
 
 func (d *kernelDecoder) param(p *ParamSpec) bool {

@@ -190,7 +190,7 @@ func runCase(ctx context.Context, c *Case, opts oracleOpts) (findings []Finding)
 	}
 
 	// Leg A: static classification vs ground truth.
-	siteAt := sitesByPC(c)
+	siteAt := sitesByPC(c, kernels)
 	analyses := make([]*compiler.Analysis, len(kernels))
 	for li, k := range kernels {
 		an, err := compiler.Analyze(k, launchInfo(c, li))
@@ -253,14 +253,24 @@ func siteByID(c *Case, id int) *Site {
 	return nil
 }
 
-// sitesByPC indexes each launch's sites by final PC.
-func sitesByPC(c *Case) []map[int]*Site {
-	m := make([]map[int]*Site, len(c.Launches))
-	for i := range m {
-		m[i] = make(map[int]*Site)
+// sitesByPC indexes each launch's sites by final PC: entry [li][pc] is the
+// site at pc of kernels[li], or nil. All launches share one array. A site
+// whose PC lies outside its kernel is left out, as no instruction can
+// look it up.
+func sitesByPC(c *Case, kernels []*kernel.Kernel) [][]*Site {
+	n := 0
+	for _, k := range kernels {
+		n += len(k.Code)
+	}
+	all := make([]*Site, n)
+	m := make([][]*Site, len(kernels))
+	for li, k := range kernels {
+		m[li], all = all[:len(k.Code):len(k.Code)], all[len(k.Code):]
 	}
 	for _, s := range c.Sites {
-		m[s.Launch][s.PC] = s
+		if pcs := m[s.Launch]; s.PC >= 0 && s.PC < len(pcs) {
+			pcs[s.PC] = s
+		}
 	}
 	return m
 }

@@ -96,12 +96,12 @@ func (m *Backing) Span(addr uint64, n int) []byte {
 // ReadBytes copies n bytes starting at addr into a new slice.
 func (m *Backing) ReadBytes(addr uint64, n int) []byte {
 	out := make([]byte, n)
-	m.readInto(addr, out)
+	m.ReadInto(addr, out)
 	return out
 }
 
-// readInto fills out from addr without allocating.
-func (m *Backing) readInto(addr uint64, out []byte) {
+// ReadInto fills out from addr without allocating.
+func (m *Backing) ReadInto(addr uint64, out []byte) {
 	for i := 0; i < len(out); {
 		c := m.chunk(addr + uint64(i))
 		off := int((addr + uint64(i)) % chunkBytes)
@@ -139,7 +139,7 @@ func (m *Backing) ReadUint(addr uint64, n int) uint64 {
 		return readOddWidth(c, off, n)
 	}
 	var buf [8]byte
-	m.readInto(addr, buf[:n])
+	m.ReadInto(addr, buf[:n])
 	return binary.LittleEndian.Uint64(buf[:])
 }
 

@@ -234,8 +234,10 @@ func (c *coreState) placeWorkgroup(r *kernelRun, wgID int, now uint64) {
 	}
 	c.wgs = append(c.wgs, wg)
 	c.threadsUsed += l.Block
-	// Fresh warps are ready immediately: wake the core.
+	// Fresh warps are ready immediately: wake the core, and bring it under
+	// the occupied mark so the scheduler visits it.
 	c.gpu.wakes.earlier(c.id, now)
+	c.gpu.occupied = max(c.gpu.occupied, c.id+1)
 }
 
 // removeWorkgroup frees a completed (or aborted) workgroup's resources and

@@ -68,6 +68,12 @@ type GPU struct {
 	// arrived, and the next idle-skip target is the minimum wake. See
 	// DESIGN.md "Event-driven scheduler" for the invariants.
 	wakes *wakeTimes
+	// occupied is one past the highest core that has held a warp during the
+	// current invocation: placeWorkgroup raises it, and each invocation
+	// starts it above any core that still holds warps. Every core at or
+	// above it is parked at farFuture, so stepSerial, nextEvent and
+	// deadlocked visit only the cores below it.
+	occupied int
 	// dispatchNeeded is set when a workgroup slot frees (retire, abort) or a
 	// launch starts; dispatch runs only then instead of every cycle.
 	dispatchNeeded bool
@@ -194,6 +200,7 @@ func (g *GPU) reset() {
 	g.cycleHook = nil
 	g.txFault = nil
 	g.wakes.reset()
+	g.occupied = 0
 	clear(g.atomicBusy)
 	clear(g.sbCache)
 	g.oneLaunch[0] = nil
@@ -253,7 +260,9 @@ func (g *GPU) fetchRBT(rbtBase uint64, id uint16) (core.Bounds, uint64) {
 		done := g.dram.Access(g.now, addr)
 		lat = done - g.now + uint64(g.cfg.L2Latency)
 	}
-	return core.DecodeBounds(g.dev.Mem.ReadBytes(addr, core.BoundsEntryBytes)), lat
+	var entry [core.BoundsEntryBytes]byte
+	g.dev.Mem.ReadInto(addr, entry[:])
+	return core.DecodeBounds(entry[:]), lat
 }
 
 // memAccess walks one coalesced transaction through the TLBs and cache
@@ -476,6 +485,7 @@ func (g *GPU) RunConcurrentCtx(ctx context.Context, launches []*driver.Launch, m
 		}
 	}
 	g.wakes.reset()
+	g.resetOccupied()
 	g.dispatchNeeded = false
 	g.dispatch(allowed)
 	// Parallel core stepping (Config.CoreParallel): phase-A workers live for
@@ -586,8 +596,9 @@ func (g *GPU) stepSerial() bool {
 	now := g.now
 	// Iterate the wake array directly: cores that provably cannot issue yet
 	// — their wake time is maintained at issue, barrier release, retire, and
-	// dispatch — cost one load and compare each.
-	for id, t := range g.wakes.wake {
+	// dispatch — cost one load and compare each. Cores at or above the
+	// occupied mark are parked at farFuture and are not visited at all.
+	for id, t := range g.wakes.wake[:g.occupied] {
 		if t > now {
 			continue
 		}
@@ -615,7 +626,7 @@ func (g *GPU) abortUnfinished(runs []*kernelRun, msg string) {
 // only by other warps arriving or retiring, this state is permanent.
 func (g *GPU) deadlocked() bool {
 	stuck := false
-	for _, c := range g.cores {
+	for _, c := range g.cores[:g.occupied] {
 		for _, w := range c.warps {
 			if w.done {
 				continue
@@ -684,11 +695,24 @@ func (g *GPU) dispatch(allowed [][]*kernelRun) {
 // tryIssue scan, and the remaining cores' wakes were maintained by the
 // events (issue, barrier release, placement, abort) that could move them.
 func (g *GPU) nextEvent() uint64 {
-	next := g.wakes.min()
+	next := g.wakes.min(g.occupied)
 	if next == farFuture || next <= g.now {
 		return g.now + 1
 	}
 	return next
+}
+
+// resetOccupied starts an invocation's occupied mark above the highest core
+// that still holds warps. Only a run that panicked leaves any behind; they
+// are never woken again, but deadlocked must still see them.
+func (g *GPU) resetOccupied() {
+	g.occupied = 0
+	for id := len(g.cores) - 1; id >= 0; id-- {
+		if len(g.cores[id].warps) > 0 {
+			g.occupied = id + 1
+			return
+		}
+	}
 }
 
 // pruneAtomicBusy drops atomic-unit reservations that ended at or before the

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"gpushield/internal/core"
 	"gpushield/internal/driver"
 	"gpushield/internal/kernel"
 )
@@ -103,5 +104,45 @@ func TestSteadyStateLaunchAllocs(t *testing.T) {
 	// ~2,276 before the arena work.
 	if prepAndRun > 100 {
 		t.Errorf("steady-state PrepareLaunch+Run allocated %.1f objects/launch, want <= 100", prepAndRun)
+	}
+}
+
+// TestSteadyStateShieldLaunchAllocs holds a shield-mode launch of one
+// workgroup to the same floor as TestSteadyStateLaunchAllocs, at the
+// preset's 16 cores and at 64: programming the BCUs of every allowed core,
+// the RBT fetch and the RCache flushes at kernel end allocate nothing, so
+// the cost does not grow with the cores a launch leaves idle.
+func TestSteadyStateShieldLaunchAllocs(t *testing.T) {
+	k := buildAllocKernel(t)
+	for _, cores := range []int{16, 64} {
+		dev := driver.NewDevice(1)
+		buf := dev.Malloc("p", 4096*4, false)
+		cfg := NvidiaConfig().WithShield(core.DefaultBCUConfig())
+		cfg.Cores = cores
+		cfg.CoreParallel = 1
+		gpu := New(cfg, dev)
+		const rounds = 50
+		launches := make([]*driver.Launch, rounds+2)
+		for i := range launches {
+			l, err := dev.PrepareLaunch(k, 1, 256, []driver.Arg{driver.BufArg(buf)}, driver.ModeShield, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			launches[i] = l
+		}
+		if _, err := gpu.Run(launches[0]); err != nil {
+			t.Fatal(err)
+		}
+		i := 1
+		allocs := testing.AllocsPerRun(rounds, func() {
+			st, err := gpu.Run(launches[i])
+			if err != nil || st.RBTFetches == 0 {
+				t.Fatalf("launch %d: err %v, %d RBT fetches; the launch must reach the RBT", i, err, st.RBTFetches)
+			}
+			i++
+		})
+		if allocs > 2 {
+			t.Errorf("%d cores: steady-state shield gpu.Run allocated %.1f objects/launch, want <= 2 (report + report slice)", cores, allocs)
+		}
 	}
 }

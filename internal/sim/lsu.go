@@ -305,11 +305,12 @@ func (c *coreState) memCommit(w *warp, in *kernel.Instr, gmask uint64, now uint6
 		}
 	}
 
-	// Functional access. A uniform load reads once; dense unit-stride
-	// transactions inside one backing chunk go through the bulk span path;
-	// everything else takes the per-lane reference path. Source operands
-	// are resolved before the destination row is claimed, as a store or
-	// atomic may read the register a load or atomic then writes.
+	// Functional access. A uniform load reads once and a uniform store
+	// writes once; dense unit-stride transactions inside one backing chunk
+	// go through the bulk span path; everything else takes the per-lane
+	// reference path. Source operands are resolved before the destination
+	// row is claimed, as a store or atomic may read the register a load or
+	// atomic then writes.
 	mem := c.gpu.dev.Mem
 	switch in.Op {
 	case kernel.OpLd:
@@ -330,13 +331,21 @@ func (c *coreState) memCommit(w *warp, in *kernel.Instr, gmask uint64, now uint6
 			}
 		}
 	case kernel.OpSt:
-		if !drop {
-			p2 := c.src(w, in.Src[2])
-			if prep.class != memClassUnit || prep.wrapped || !c.batchStore(in, prep, &p2) {
-				for lanes := gmask; lanes != 0; lanes &= lanes - 1 {
-					lane := bits.TrailingZeros64(lanes)
-					storeValue(mem, addrs[lane], in, p2.at(lane))
-				}
+		if drop {
+			break
+		}
+		p2 := c.src(w, in.Src[2])
+		switch {
+		case prep.class == memClassUniform:
+			// Every active lane writes the same bytes in ascending lane
+			// order, so memory keeps the last active lane's value.
+			last := int(prep.lanes[len(prep.lanes)-1])
+			storeValue(mem, addrs[last], in, p2.at(last))
+		case prep.class == memClassUnit && !prep.wrapped && c.batchStore(in, prep, &p2):
+		default:
+			for lanes := gmask; lanes != 0; lanes &= lanes - 1 {
+				lane := bits.TrailingZeros64(lanes)
+				storeValue(mem, addrs[lane], in, p2.at(lane))
 			}
 		}
 	case kernel.OpAtomAdd:

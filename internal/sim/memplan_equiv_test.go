@@ -219,3 +219,47 @@ func TestMemPlanEquivNarrowStride(t *testing.T) {
 	kb.StoreGlobal(kb.AddScaled(p, kb.And(gtid, kernel.Imm(n-1)), 4), kb.Add(v, w), 4)
 	mpEquivCompare(t, kb.MustBuild(), 2, 64, driver.ModeShield, core.FailLog, n)
 }
+
+// TestMemPlanEquivUniformStores has every active lane of a warp store a
+// different value to one address, so memory must end up holding the last
+// active lane's value, as the reference's lane-by-lane writes leave it. The
+// stores are 4- and 8-byte and f32, through both addressing methods, with
+// all lanes active, with a guard that leaves the top lanes inactive, and
+// with an active mask that has holes and ends below lane 31.
+func TestMemPlanEquivUniformStores(t *testing.T) {
+	const n = 1024
+	kb := kernel.NewBuilder("mp_uniform_store")
+	p := kb.BufferParam("p", false)
+	gtid := kb.GlobalTID()
+	lane := kb.Mov(kb.LaneID())
+	// A vector-shaped value (loaded) and an affine one, both distinct per
+	// lane.
+	vec := kb.Add(kb.LoadGlobal(kb.AddScaled(p, kb.And(gtid, kernel.Imm(255)), 4), 4), kb.Mul(lane, kernel.Imm(1000)))
+	aff := kb.Add(kb.Mul(gtid, kernel.Imm(13)), kernel.Imm(5))
+	kb.StoreGlobal(kb.AddScaled(p, kernel.Imm(300), 4), aff, 4)
+	kb.StoreGlobal(kb.AddScaled(p, kernel.Imm(302), 4), vec, 8)
+	kb.StoreGlobalOfs(p, kernel.Imm(4*306), vec, 4)
+	kb.StoreGlobalOfsF32(p, kernel.Imm(4*307), kb.CvtIF(aff))
+	kb.If(kb.SetLT(lane, kernel.Imm(20)), func() {
+		kb.StoreGlobal(kb.AddScaled(p, kernel.Imm(310), 4), vec, 4)
+		kb.StoreGlobalOfs(p, kernel.Imm(4*312), aff, 8)
+	})
+	kb.If(kb.SetNE(kb.And(lane, kernel.Imm(6)), kernel.Imm(6)), func() {
+		kb.StoreGlobal(kb.AddScaled(p, kernel.Imm(320), 4), aff, 8)
+		kb.StoreGlobalOfs(p, kernel.Imm(4*324), vec, 4)
+		kb.StoreGlobalF32(kb.AddScaled(p, kernel.Imm(325), 4), kb.CvtIF(vec))
+	})
+	k := kb.MustBuild()
+	// Sanity: the stores land, and not with lane 0's or lane 31's value.
+	_, mem := mpEquivRun(t, k, 1, 32, false, 1, driver.ModeShield, core.FailLog, n)
+	word := func(i int) uint32 {
+		return uint32(mem[4*i]) | uint32(mem[4*i+1])<<8 | uint32(mem[4*i+2])<<16 | uint32(mem[4*i+3])<<24
+	}
+	for _, c := range []struct{ word, lane int }{{300, 31}, {312, 19}, {320, 29}} {
+		if got, want := word(c.word), uint32(13*c.lane+5); got != want {
+			t.Fatalf("word %d = %d, want lane %d's %d", c.word, got, c.lane, want)
+		}
+	}
+	mpEquivCompare(t, k, 3, 64, driver.ModeShield, core.FailLog, n)
+	mpEquivCompare(t, k, 2, 96, driver.ModeOff, core.FailLog, n)
+}

@@ -150,14 +150,20 @@ func TestPlanMatchesOperand(t *testing.T) {
 // TestWakeTimes exercises the per-core wake times directly.
 func TestWakeTimes(t *testing.T) {
 	h := newWakeTimes(5)
-	if h.min() != farFuture {
+	if h.min(5) != farFuture {
 		t.Fatal("fresh wake times must be idle")
 	}
 	h.set(3, 100)
 	h.set(1, 50)
 	h.set(4, 75)
-	if got := h.min(); got != 50 {
+	if got := h.min(5); got != 50 {
 		t.Fatalf("min: got %d want 50", got)
+	}
+	if got := h.min(3); got != 50 {
+		t.Fatalf("min of cores 0..2: got %d want 50", got)
+	}
+	if got := h.min(1); got != farFuture {
+		t.Fatalf("min of core 0: got %d want farFuture", got)
 	}
 	h.earlier(4, 60)  // no-op is fine too, 60 < 75 so it applies
 	h.earlier(3, 200) // later than current: must be ignored
@@ -165,11 +171,11 @@ func TestWakeTimes(t *testing.T) {
 		t.Fatal("earlier() must never delay a wake")
 	}
 	h.set(1, farFuture)
-	if got := h.min(); got != 60 {
+	if got := h.min(5); got != 60 {
 		t.Fatalf("min after park: got %d want 60", got)
 	}
 	h.reset()
-	if h.min() != farFuture {
+	if h.min(5) != farFuture {
 		t.Fatal("reset must park every core")
 	}
 }

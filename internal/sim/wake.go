@@ -58,11 +58,11 @@ func (w *wakeTimes) earlier(core int, t uint64) {
 	}
 }
 
-// min returns the earliest wake time across all cores (farFuture when every
-// core is parked).
-func (w *wakeTimes) min() uint64 {
+// min returns the earliest wake time of the cores below n (farFuture when
+// every one of them is parked).
+func (w *wakeTimes) min(n int) uint64 {
 	m := farFuture
-	for _, t := range w.wake {
+	for _, t := range w.wake[:n] {
 		m = min(m, t)
 	}
 	return m

@@ -26,7 +26,7 @@ function layer(fn) {
         return "runtime/GC"
     if (fn ~ /sim\.\(\*coreState\)\.(selectWarp|tryIssue|execute|replayIssue|wake|retireWarp|releaseBarrier|execBranch|placeWorkgroup|removeWorkgroup|statsFor|selectIntent|executeIntent)$/ ||
         fn ~ /sim\.\(\*warp\)\.(reconverge|guardMask)$/ ||
-        fn ~ /sim\.\(\*GPU\)\.(stepSerial|stepParallel|nextEvent|dispatch|RunConcurrentCtx|deadlocked|abortRun|abortUnfinished|acquireRun|releaseRuns)$/ ||
+        fn ~ /sim\.\(\*GPU\)\.(stepSerial|stepParallel|nextEvent|dispatch|RunConcurrentCtx|deadlocked|resetOccupied|abortRun|abortUnfinished|acquireRun|releaseRuns)$/ ||
         fn ~ /sim\.\(\*(wakeTimes|coreWorkers)\)\./ || fn ~ /kernel\.Op\.Is(Memory|Branch|Store)$/)
         return "warp selection"
     if (fn ~ /sim\.\(\*coreState\)\.(execALU|execALUWarp|execALUWarpPlanned|execALULanes|execSuperblock|execSBFast|src|denseRow|operand|special)$/ ||
