@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"errors"
 	"testing"
 
 	"gpushield/internal/core"
@@ -74,5 +75,35 @@ func TestCoarseHeapHasNoChunkPointers(t *testing.T) {
 	}
 	if len(dev.HeapChunks()) != 1 {
 		t.Fatalf("chunk record missing")
+	}
+}
+
+// TestFineGrainedHeapExhaustsIDs fills the ID space with heap chunks: a
+// launch that needs every one of the NumIDs-1 IDs gets them all, distinct,
+// and one more chunk is reported as exhaustion instead of a hang.
+func TestFineGrainedHeapExhaustsIDs(t *testing.T) {
+	dev := NewDevice(23)
+	dev.SetFineGrainedHeap(true)
+	dev.SetHeapLimit(1 << 20)
+	// One ID for the buffer argument and one for the coarse heap entry.
+	for i := 0; i < core.NumIDs-3; i++ {
+		if _, err := dev.DeviceMalloc(16); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scratch := dev.Malloc("scratch", 64, false)
+	args := []Arg{BufArg(scratch)}
+	l, err := dev.PrepareLaunch(heapKernel(), 1, 32, args, ModeShield, nil)
+	if err != nil {
+		t.Fatalf("launch using every ID: %v", err)
+	}
+	if got := l.RBT.Len(); got != core.NumIDs-1 {
+		t.Fatalf("RBT holds %d valid entries, want %d", got, core.NumIDs-1)
+	}
+	if _, err := dev.DeviceMalloc(16); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dev.PrepareLaunch(heapKernel(), 1, 32, args, ModeShield, nil); !errors.Is(err, ErrAllocExhausted) {
+		t.Fatalf("launch needing %d IDs: want ErrAllocExhausted, got %v", core.NumIDs, err)
 	}
 }
