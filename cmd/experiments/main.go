@@ -115,7 +115,7 @@ func realMain() int {
 	run := flag.String("run", "all", "experiment id to run, or 'all'")
 	csv := flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
 	parallel := flag.Int("parallel", 0, "engine worker-pool width; 0 = one per CPU, 1 = serial")
-	coreParallel := flag.Int("core-parallel", 0, "per-simulation core-stepping width; capped so parallel × core-parallel <= CPU count (0 = auto, 1 = serial)")
+	coreParallel := flag.Int("core-parallel", 0, "per-simulation core-stepping width; 0 (auto) and 1 step serially, a wider request is capped so parallel × core-parallel <= CPU count")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable timing summary (JSON) on stdout; tables move to stderr")
 	journalPath := flag.String("journal", "", "append every completed run to this write-ahead journal (JSON lines, fsync'd)")
 	journalMaxBytes := flag.Int64("journal-max-bytes", 64<<20, "compact the journal (last record per key, atomic rewrite) when it grows past this many bytes; 0 = unbounded. Keeps soak-length loops from growing the journal with wall-clock time")

@@ -10,7 +10,7 @@ import (
 // errors.Is without importing internal packages.
 var (
 	// ErrWatchdog marks a launch aborted by the kernel watchdog after the
-	// WithMaxCycles budget was exhausted (or a barrier deadlock was proven).
+	// WithMaxCycles budget was exhausted.
 	// The Report returned alongside it is partial, valid up to the abort.
 	ErrWatchdog = sim.ErrWatchdog
 

@@ -113,7 +113,7 @@ const (
 type Engine struct {
 	mu           sync.Mutex
 	workers      int
-	coreParallel int // requested core-stepping width; 0 = auto
+	coreParallel int // requested core-stepping width; 0 = auto (serial)
 	memo         map[memoKey]*memoEntry
 	journal      *Journal
 	store        *resultstore.Store // durable content-addressed layer under the memo cache
@@ -159,7 +159,7 @@ func (e *Engine) Workers() int {
 }
 
 // SetCoreParallelism records the requested per-simulation core-stepping
-// width (0 = auto, 1 = serial). The effective width is resolved against the
+// width (0 or 1 = serial). The effective width is resolved against the
 // shared machine budget by CoreParallelism.
 func (e *Engine) SetCoreParallelism(n int) {
 	e.mu.Lock()
@@ -168,25 +168,19 @@ func (e *Engine) SetCoreParallelism(n int) {
 }
 
 // CoreParallelism resolves the core-stepping width each simulation runs at.
-// The engine's job workers and each simulation's core workers share one
-// machine budget: Workers() × width never exceeds pool.DefaultWorkers(), so
-// a wide sweep cannot oversubscribe the host by also fanning every GPU out.
-// An explicit request below the budget is honored; 0 (auto) and requests
-// above the budget resolve to the budget. With the default full-width job
-// pool the budget is 1 — per-run core parallelism only kicks in when the
-// job pool is narrowed (e.g. a single long launch on a -parallel 1 sweep).
+// 0 (auto) resolves to 1: core-parallel stepping has never beaten serial
+// stepping (ROADMAP item 5), so a narrowed job pool does not turn it on. An explicit width above 1 is capped by the machine budget
+// that the engine's job workers and each simulation's core workers share:
+// Workers() × width never exceeds pool.DefaultWorkers(), so a wide sweep
+// cannot oversubscribe the host by also fanning every GPU out.
 func (e *Engine) CoreParallelism() int {
 	e.mu.Lock()
 	req, workers := e.coreParallel, e.workers
 	e.mu.Unlock()
-	budget := pool.DefaultWorkers() / workers
-	if budget < 1 {
-		budget = 1
+	if req <= 1 {
+		return 1
 	}
-	if req <= 0 || req > budget {
-		return budget
-	}
-	return req
+	return max(1, min(req, pool.DefaultWorkers()/workers))
 }
 
 // SetJournal attaches (or detaches, with nil) the write-ahead journal.

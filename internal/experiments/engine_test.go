@@ -6,6 +6,7 @@ import (
 
 	"gpushield/internal/driver"
 	"gpushield/internal/kernel"
+	"gpushield/internal/pool"
 	"gpushield/internal/sim"
 	"gpushield/internal/workloads"
 )
@@ -220,5 +221,27 @@ func TestEngineAccounting(t *testing.T) {
 	e.Reset()
 	if s := e.Stats(); s.Jobs != 0 || s.UniqueRuns != 0 {
 		t.Fatalf("Reset left accounting %+v", s)
+	}
+}
+
+// TestCoreParallelismResolution: auto (0) steps serially on any host, even
+// a single-worker engine with CPUs to spare; an explicit width is honored up
+// to the budget the job workers leave.
+func TestCoreParallelismResolution(t *testing.T) {
+	e := NewEngine(1)
+	if got := e.CoreParallelism(); got != 1 {
+		t.Fatalf("NewEngine(1) auto core width = %d, want 1", got)
+	}
+	budget := pool.DefaultWorkers()
+	for _, req := range []int{1, 2, budget, budget + 3} {
+		e.SetCoreParallelism(req)
+		if got, want := e.CoreParallelism(), min(req, budget); got != want {
+			t.Fatalf("requested width %d with budget %d: got %d, want %d", req, budget, got, want)
+		}
+	}
+	e.SetWorkers(budget)
+	e.SetCoreParallelism(budget)
+	if got := e.CoreParallelism(); got != 1 {
+		t.Fatalf("full-width job pool left core width %d, want 1", got)
 	}
 }

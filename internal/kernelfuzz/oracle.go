@@ -34,7 +34,7 @@ const (
 	FindShieldSpurious                   // ModeShield: BCU flagged an in-bounds access
 	FindStaticMissed                     // ModeShieldStatic: expected violation absent
 	FindStaticSpurious                   // ModeShieldStatic: unexpected violation
-	FindRunAbort                         // launch aborted (fault, watchdog, deadlock)
+	FindRunAbort                         // launch aborted (fault, watchdog)
 	FindPanic                            // simulator/driver panicked
 )
 

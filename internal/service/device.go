@@ -14,12 +14,14 @@ import (
 	"gpushield/internal/sim"
 )
 
-// device is one pool member: a driver.Device + sim.GPU pair, the per-tenant
-// launch queues feeding it, and the single worker goroutine that owns all
-// execution on it. The simulator is not thread-safe and the driver's
-// allocators are monotonic, so everything that touches them — allocation,
-// host copies, prepare, run — happens under mu; the queues live under the
-// separate qmu so admission stays fast while a launch is running.
+// device is one pool member: a driver.Device + sim.GPU pair and the
+// per-tenant launch queues feeding it. One granted launch at a time holds the
+// device and runs on the goroutine that submitted it; when it releases the
+// device, the next queued request is granted round-robin across tenants. The
+// simulator is not thread-safe and the driver's allocators are monotonic, so
+// everything that touches them — allocation, host copies, prepare, run —
+// happens under mu; the queues and the grant live under the separate qmu so
+// admission stays fast while a launch is running.
 //
 // Lock order: qmu and mu are never held together; Session.mu may be taken
 // under either but never the other way around; Server.mu is never taken
@@ -34,13 +36,16 @@ type device struct {
 	// time, since lock order forbids taking Server.mu there.
 	liveSessions atomic.Int64
 
-	qmu     sync.Mutex
-	queues  map[string][]*launchReq // per-tenant FIFO
-	ring    []string                // tenants with pending work, RR order
-	rrNext  int
-	queued  int
+	qmu    sync.Mutex
+	queues map[string][]*launchReq // per-tenant FIFO
+	ring   []string                // tenants with pending work, RR order
+	rrNext int
+	queued int
+	// busy is set while a granted launch holds the device. A request queues
+	// only while it is set, and release hands the device straight to the
+	// next queued request, so a free device never has a queue.
+	busy    bool
 	stopped bool
-	work    chan struct{} // worker doorbell, capacity 1
 
 	mu         sync.Mutex
 	dev        *driver.Device
@@ -49,8 +54,8 @@ type device struct {
 	allocBytes uint64
 	gen        int // bumped on every recycle; seeds stay distinct
 
-	// execHook, when non-nil, observes each request as the worker picks it
-	// up (before any lock is taken). Tests use it to assert scheduling
+	// execHook, when non-nil, observes each request as its launch starts
+	// running (before any lock is taken). Tests use it to assert scheduling
 	// order; it is never set in production.
 	execHook func(tenant string)
 }
@@ -70,12 +75,9 @@ type launchReq struct {
 	kernel   *kernel.Kernel
 	args     []driver.Arg
 	enqueued time.Time
-	done     chan launchOutcome // capacity 1; exactly one send per request
-}
-
-type launchOutcome struct {
-	res *LaunchResult
-	err error
+	// turn is made when the request queues: release sends nil when it hands
+	// the device over, failRemaining the refusal. Exactly one send each.
+	turn chan error
 }
 
 // LaunchResult is the wire outcome of one launch.
@@ -102,7 +104,6 @@ func newDevice(s *Server, id int) *device {
 		id:     id,
 		srv:    s,
 		queues: make(map[string][]*launchReq),
-		work:   make(chan struct{}, 1),
 		dev:    dev,
 		gpu:    sim.New(s.cfg.gpuConfig(), dev),
 	}
@@ -221,13 +222,20 @@ func (d *device) queueLen() int {
 	return d.queued
 }
 
-// enqueue admits a request into its tenant's queue, shedding when either
-// the device-wide or the per-tenant bound is hit.
-func (d *device) enqueue(req *launchReq) error {
+// acquire grants req the device at once when it is free. Otherwise it
+// admits the request into its tenant's queue, shedding when either the
+// device-wide or the per-tenant bound is hit, and makes req.turn, on which
+// the request's turn (or its refusal at stop) arrives.
+func (d *device) acquire(req *launchReq) error {
 	d.qmu.Lock()
 	defer d.qmu.Unlock()
 	if d.stopped {
 		return &RetryableError{Err: ErrDraining, RetryAfter: time.Second}
+	}
+	if !d.busy {
+		d.busy = true
+		d.srv.stats.inflight.Add(1)
+		return nil
 	}
 	if d.queued >= d.srv.cfg.QueueDepth {
 		return &RetryableError{
@@ -246,21 +254,22 @@ func (d *device) enqueue(req *launchReq) error {
 	if len(q) == 0 {
 		d.ring = append(d.ring, tenant)
 	}
+	req.turn = make(chan error, 1)
 	d.queues[tenant] = append(q, req)
 	d.queued++
-	select {
-	case d.work <- struct{}{}:
-	default:
-	}
 	return nil
 }
 
-// next pops the next request round-robin across tenants, or nil when idle.
-func (d *device) next() *launchReq {
+// release ends the holder's grant: it hands the device to the next queued
+// request, round-robin across tenants, or marks it free when nothing is
+// queued. inflight counts granted launches, so a hand-off leaves it as is.
+func (d *device) release() {
 	d.qmu.Lock()
 	defer d.qmu.Unlock()
 	if len(d.ring) == 0 {
-		return nil
+		d.busy = false
+		d.srv.stats.inflight.Add(-1)
+		return
 	}
 	if d.rrNext >= len(d.ring) {
 		d.rrNext = 0
@@ -277,21 +286,20 @@ func (d *device) next() *launchReq {
 		d.rrNext++
 	}
 	d.queued--
-	d.srv.stats.inflight.Add(1)
-	return req
+	req.turn <- nil
 }
 
-// failRemaining rejects everything still queued and marks the device
-// stopped so no later enqueue can strand a caller. Exactly-once outcome
-// delivery holds: a request is either popped by next (worker sends) or
-// drained here.
+// failRemaining refuses everything still queued and marks the device
+// stopped so no later acquire can grant or queue. Exactly-once delivery
+// holds: a queued request is either handed the device by release or refused
+// here.
 func (d *device) failRemaining() {
 	d.qmu.Lock()
 	defer d.qmu.Unlock()
 	d.stopped = true
 	for tenant, q := range d.queues {
 		for _, req := range q {
-			req.done <- launchOutcome{err: fmt.Errorf("%w: server stopping", ErrDraining)}
+			req.turn <- fmt.Errorf("%w: server stopping", ErrDraining)
 		}
 		delete(d.queues, tenant)
 	}
@@ -299,32 +307,17 @@ func (d *device) failRemaining() {
 	d.queued = 0
 }
 
-// loop is the device worker: the only goroutine that runs launches on this
-// device. It drains the queues round-robin until the server hard-stops,
-// then fails whatever is left.
-func (d *device) loop() {
-	defer d.srv.wg.Done()
-	for {
-		req := d.next()
-		if req == nil {
-			select {
-			case <-d.srv.hardCtx.Done():
-				d.failRemaining()
-				return
-			case <-d.work:
-			}
-			continue
-		}
-		out := d.runOne(req)
-		d.srv.stats.inflight.Add(-1)
-		req.done <- out
-	}
+// run executes a granted launch on the caller's goroutine and then releases
+// the device.
+func (d *device) run(req *launchReq) (*LaunchResult, error) {
+	defer d.release()
+	return d.runOne(req)
 }
 
 // runOne executes one launch end to end: budget arming, prepare, simulate,
 // attribute violations, charge cycles. A panic anywhere in here is contained
 // to this request and the simulator is rebuilt.
-func (d *device) runOne(req *launchReq) (out launchOutcome) {
+func (d *device) runOne(req *launchReq) (res *LaunchResult, err error) {
 	srv := d.srv
 	sess := req.sess
 	if d.execHook != nil {
@@ -337,25 +330,25 @@ func (d *device) runOne(req *launchReq) (out launchOutcome) {
 		if v := recover(); v != nil {
 			srv.stats.panics.Add(1)
 			d.rebuildGPU()
-			out = launchOutcome{err: pool.NewPanicError("launch "+req.spec.Kernel, -1, v)}
+			res, err = nil, pool.NewPanicError("launch "+req.spec.Kernel, -1, v)
 		}
 	}()
 
 	budget := sess.takeCycleBudget(srv.cfg.LaunchCycleCap)
 	if budget == 0 {
 		srv.stats.shedQuota.Add(1)
-		return launchOutcome{err: fmt.Errorf("%w: cycle budget exhausted", ErrQuota)}
+		return nil, fmt.Errorf("%w: cycle budget exhausted", ErrQuota)
 	}
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if sess.isClosed() {
-		return launchOutcome{err: fmt.Errorf("%w: session closed while queued", ErrNotFound)}
+		return nil, fmt.Errorf("%w: session closed while queued", ErrNotFound)
 	}
 
 	l, err := d.dev.PrepareLaunch(req.kernel, req.spec.Grid, req.spec.Block, req.args, driver.ModeShield, nil)
 	if err != nil {
-		return launchOutcome{err: fmt.Errorf("%w: %v", ErrBadRequest, err)}
+		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 
 	// The watchdog enforces the smaller of the per-launch cap and the
@@ -375,7 +368,7 @@ func (d *device) runOne(req *launchReq) (out launchOutcome) {
 	elapsed := time.Since(started)
 	srv.noteRunNanos(elapsed)
 
-	res := &LaunchResult{
+	res = &LaunchResult{
 		Kernel:  req.spec.Kernel,
 		QueueMS: float64(started.Sub(req.enqueued).Microseconds()) / 1000,
 		RunMS:   float64(elapsed.Microseconds()) / 1000,
@@ -423,7 +416,7 @@ func (d *device) runOne(req *launchReq) (out launchOutcome) {
 		case errors.Is(req.ctx.Err(), context.DeadlineExceeded):
 			srv.stats.deadlineAborts.Add(1)
 			sess.noteLaunch(res)
-			return launchOutcome{res: res, err: fmt.Errorf("%w after %v", ErrDeadline, elapsed.Round(time.Millisecond))}
+			return res, fmt.Errorf("%w after %v", ErrDeadline, elapsed.Round(time.Millisecond))
 		case req.ctx.Err() == nil:
 			// The client's context is intact, so the abort came through the
 			// AfterFunc wired to the server hard stop: that is the process
@@ -431,15 +424,15 @@ func (d *device) runOne(req *launchReq) (out launchOutcome) {
 			// cancellation (499).
 			srv.stats.shedDraining.Add(1)
 			sess.noteLaunch(res)
-			return launchOutcome{res: res, err: fmt.Errorf("%w: launch aborted by server stop: %v", ErrDraining, context.Cause(srv.hardCtx))}
+			return res, fmt.Errorf("%w: launch aborted by server stop: %v", ErrDraining, context.Cause(srv.hardCtx))
 		default:
 			srv.stats.canceled.Add(1)
 			sess.noteLaunch(res)
-			return launchOutcome{res: res, err: fmt.Errorf("%w: %v", ErrCanceled, context.Cause(req.ctx))}
+			return res, fmt.Errorf("%w: %v", ErrCanceled, context.Cause(req.ctx))
 		}
 	default:
-		return launchOutcome{res: res, err: runErr}
+		return res, runErr
 	}
 	sess.noteLaunch(res)
-	return launchOutcome{res: res}
+	return res, nil
 }

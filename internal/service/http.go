@@ -1,12 +1,15 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"runtime/debug"
+	"slices"
 	"time"
 )
 
@@ -14,6 +17,11 @@ import (
 // payloads ride inside JSON as base64, so the cap must clear the byte budget
 // with base64 + framing overhead to spare.
 const maxBodyBytes = 8 << 20
+
+// fastBodyMax bounds the bodies read whole for a canonical fast path
+// (codec.go); larger ones, and bodies of unknown length, stream through
+// encoding/json.
+const fastBodyMax = 64 << 10
 
 // errorBody is the wire envelope for every non-2xx response. Result is
 // populated when a launch aborted with a usable partial report (deadline or
@@ -47,7 +55,7 @@ func NewHandler(s *Server) http.Handler {
 		var req struct {
 			Tenant string `json:"tenant"`
 		}
-		if !decodeJSON(w, r, &req) {
+		if !decodeJSON(w, r, &req, nil) {
 			return
 		}
 		info, err := s.CreateSession(req.Tenant)
@@ -76,7 +84,7 @@ func NewHandler(s *Server) http.Handler {
 			Size     uint64 `json:"size"`
 			ReadOnly bool   `json:"read_only"`
 		}
-		if !decodeJSON(w, r, &req) {
+		if !decodeJSON(w, r, &req, nil) {
 			return
 		}
 		info, err := s.Malloc(r.PathValue("id"), req.Name, req.Size, req.ReadOnly)
@@ -92,7 +100,7 @@ func NewHandler(s *Server) http.Handler {
 			Offset uint64 `json:"offset"`
 			Data   []byte `json:"data"` // JSON base64
 		}
-		if !decodeJSON(w, r, &req) {
+		if !decodeJSON(w, r, &req, nil) {
 			return
 		}
 		if err := s.WriteBuffer(r.PathValue("id"), r.PathValue("name"), req.Offset, req.Data); err != nil {
@@ -103,11 +111,8 @@ func NewHandler(s *Server) http.Handler {
 	})
 
 	mux.HandleFunc("POST /v1/sessions/{id}/buffers/{name}/read", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Offset uint64 `json:"offset"`
-			N      int    `json:"n"`
-		}
-		if !decodeJSON(w, r, &req) {
+		var req readRequest
+		if !decodeJSON(w, r, &req, func(b []byte) bool { return decodeReadRequest(b, &req) }) {
 			return
 		}
 		data, err := s.ReadBuffer(r.PathValue("id"), r.PathValue("name"), req.Offset, req.N)
@@ -115,14 +120,12 @@ func NewHandler(s *Server) http.Handler {
 			writeError(w, err, nil)
 			return
 		}
-		writeJSON(w, http.StatusOK, struct {
-			Data []byte `json:"data"`
-		}{data})
+		writeAppended(w, readBack{data}, func(b []byte) ([]byte, bool) { return appendReadBack(b, data), true })
 	})
 
 	mux.HandleFunc("POST /v1/sessions/{id}/launch", func(w http.ResponseWriter, r *http.Request) {
 		var spec LaunchSpec
-		if !decodeJSON(w, r, &spec) {
+		if !decodeJSON(w, r, &spec, func(b []byte) bool { return decodeLaunchSpec(b, &spec) }) {
 			return
 		}
 		// r.Context() carries the client disconnect: a vanished caller
@@ -132,7 +135,7 @@ func NewHandler(s *Server) http.Handler {
 			writeError(w, err, res)
 			return
 		}
-		writeJSON(w, http.StatusOK, res)
+		writeAppended(w, res, func(b []byte) ([]byte, bool) { return appendLaunchResult(b, res) })
 	})
 
 	mux.HandleFunc("GET /v1/kernels", func(w http.ResponseWriter, r *http.Request) {
@@ -160,7 +163,7 @@ func NewHandler(s *Server) http.Handler {
 
 // recoverMiddleware contains handler panics to the request that caused them:
 // log with stack, answer 500, keep the daemon up. (Simulation panics never
-// reach here — the device worker converts those to pool.ErrRunPanic — this
+// reach here — the launch path converts those to pool.ErrRunPanic — this
 // guard is for the HTTP layer itself.)
 func recoverMiddleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -180,10 +183,8 @@ func recoverMiddleware(next http.Handler) http.Handler {
 
 // decodeJSON parses the body into v; on failure it answers 400 (or 413 for an
 // oversized body) and returns false.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any, fast func([]byte) bool) bool {
+	if err := decodeBody(r, v, fast); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{
@@ -210,6 +211,48 @@ func writeError(w http.ResponseWriter, err error, partial *LaunchResult) {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
 	}
 	writeJSON(w, status, body)
+}
+
+// decodeBody decodes the request body into v with encoding/json. When fast is
+// not nil and the body's length is known and at most fastBodyMax, the body
+// is first read whole into a pooled buffer and fast tries to decode it in
+// json.Marshal's compact form; encoding/json gets the same bytes whenever
+// fast reports false.
+func decodeBody(r *http.Request, v any, fast func([]byte) bool) error {
+	var body io.Reader = r.Body
+	if n := r.ContentLength; fast != nil && n >= 0 && n <= fastBodyMax {
+		bp := bodyPool.Get().(*[]byte)
+		defer bodyPool.Put(bp)
+		b := slices.Grow((*bp)[:0], int(n))[:n]
+		*bp = b
+		got, err := io.ReadFull(r.Body, b)
+		if err == nil && fast(b) {
+			return nil
+		}
+		body = io.MultiReader(bytes.NewReader(b[:got]), r.Body)
+	}
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
+// writeAppended answers 200 with the body appendBody appends to a pooled
+// buffer. When appendBody reports false it cannot reproduce encoding/json's
+// bytes for v, and v goes through writeJSON instead.
+func writeAppended(w http.ResponseWriter, v any, appendBody func([]byte) ([]byte, bool)) {
+	bp := bodyPool.Get().(*[]byte)
+	defer bodyPool.Put(bp)
+	b, ok := appendBody((*bp)[:0])
+	*bp = b
+	if !ok {
+		writeJSON(w, http.StatusOK, v)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(b); err != nil {
+		log.Printf("writing response: %v", err)
+	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -11,8 +11,10 @@
 //     (buffer count, resident bytes, lifetime simulated cycles, session
 //     count) before it can consume shared resources. Rejections are typed
 //     (ErrQuota) and cheap.
-//   - Bounded queues: launches wait in per-tenant FIFO queues drained
-//     round-robin per device, so one chatty tenant cannot starve the rest.
+//   - Bounded queues: a launch runs on the goroutine that submitted it, at
+//     once when its device is free; otherwise it waits in a per-tenant FIFO
+//     queue, and each finished launch hands the device to the next request
+//     round-robin across tenants, so one chatty tenant cannot starve the rest.
 //     Full queues shed explicitly (ErrQuota / ErrOverloaded with a
 //     Retry-After hint) instead of building unbounded backlog.
 //   - Deadlines: every launch carries a context deadline, propagated into
@@ -25,8 +27,8 @@
 //     contained to the request (pool.ErrRunPanic), and the device's
 //     simulator state is rebuilt before the next launch.
 //   - Graceful drain: Drain stops admission, lets queued work finish (or
-//     cuts it over to hard abort when its context expires), and stops every
-//     worker goroutine before returning.
+//     cuts it over to hard abort when its context expires), and returns only
+//     after every granted launch has released its device.
 package service
 
 import (
@@ -125,7 +127,7 @@ func DefaultConfig() Config {
 }
 
 // gpuConfig is the simulator configuration every pool device runs:
-// shield-on, per-request watchdog armed by the worker.
+// shield-on, per-request watchdog armed by each launch.
 func (c Config) gpuConfig() sim.Config {
 	sc := sim.NvidiaConfig().WithShield(core.DefaultBCUConfig())
 	sc.CoreParallel = c.CoreParallel
@@ -149,12 +151,10 @@ type Server struct {
 	devs []*device
 
 	// hardCtx is canceled exactly once (stop) when the server goes down for
-	// real: in-flight simulations abort, workers fail their remaining queues
-	// and exit.
+	// real: in-flight simulations abort and queued launches are refused.
 	hardCtx    context.Context
 	hardCancel context.CancelCauseFunc
 	stopOnce   sync.Once
-	wg         sync.WaitGroup
 
 	mu           sync.RWMutex
 	sessions     map[string]*Session
@@ -164,8 +164,8 @@ type Server struct {
 	stats counters
 }
 
-// New builds and starts a Server: one worker goroutine per device. The
-// caller must eventually call Drain or Close to stop them.
+// New builds a Server. It starts no goroutine: each launch runs on the
+// goroutine that calls Launch. Drain or Close stops the server.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -179,17 +179,21 @@ func New(cfg Config) (*Server, error) {
 		tenantCounts: make(map[string]int),
 	}
 	for i := 0; i < cfg.Devices; i++ {
-		d := newDevice(s, i)
-		s.devs = append(s.devs, d)
-		s.wg.Add(1)
-		go d.loop()
+		s.devs = append(s.devs, newDevice(s, i))
 	}
 	return s, nil
 }
 
-// stop cancels hardCtx exactly once with the given cause.
+// stop cancels hardCtx exactly once with the given cause, so running
+// simulations abort, refuses every queued launch, and returns once every
+// granted launch has released its device.
 func (s *Server) stop(cause error) {
 	s.stopOnce.Do(func() { s.hardCancel(cause) })
+	for _, d := range s.devs {
+		d.failRemaining()
+	}
+	// No device grants again once stopped, so inflight only falls from here.
+	s.awaitQuiet(context.Background())
 }
 
 // Config returns the server's configuration.
@@ -284,7 +288,7 @@ func (s *Server) session(id string) (*Session, error) {
 // CloseSession tears a session down: its buffers leave the ownership map,
 // its tenant slot frees, and an idle device past its allocation high-water
 // mark is recycled. Launches still queued for the session fail with
-// ErrNotFound when the worker reaches them.
+// ErrNotFound when their turn comes.
 func (s *Server) CloseSession(id string) error {
 	s.mu.Lock()
 	sess := s.sessions[id]
@@ -404,11 +408,8 @@ func (s *Server) WriteBuffer(sessionID, name string, offset uint64, data []byte)
 	if err != nil {
 		return err
 	}
-	if buf.ReadOnly {
-		// Read-only is a kernel-side attribute; the owning host may still
-		// initialize the contents.
-		_ = buf
-	}
+	// Read-only is a kernel-side attribute; the owning host may still
+	// initialize the contents.
 	return sess.dev.copyToDevice(buf, offset, data)
 }
 
@@ -428,8 +429,8 @@ func (s *Server) ReadBuffer(sessionID, name string, offset uint64, n int) ([]byt
 	return sess.dev.copyFromDevice(buf, offset, n)
 }
 
-// Launch admits, queues, and executes one kernel launch, blocking until its
-// outcome. The context carries the caller's cancellation (a vanished client
+// Launch admits, queues, and executes one kernel launch on the calling
+// goroutine, blocking until its outcome. The context carries the caller's cancellation (a vanished client
 // aborts the run); the effective deadline is the spec's (clamped to
 // MaxDeadline) or DefaultDeadline.
 func (s *Server) Launch(ctx context.Context, sessionID string, spec LaunchSpec) (*LaunchResult, error) {
@@ -461,7 +462,7 @@ func (s *Server) Launch(ctx context.Context, sessionID string, spec LaunchSpec) 
 	defer cancel()
 	req.ctx = ctx
 
-	if err := sess.dev.enqueue(req); err != nil {
+	if err := sess.dev.acquire(req); err != nil {
 		switch {
 		case errors.Is(err, ErrQuota):
 			s.stats.shedQuota.Add(1)
@@ -472,14 +473,21 @@ func (s *Server) Launch(ctx context.Context, sessionID string, spec LaunchSpec) 
 		}
 		return nil, err
 	}
-	// The worker delivers exactly one outcome per accepted request, even
-	// when it is tearing down, so this wait cannot leak.
-	out := <-req.done
+	var res *LaunchResult
+	if req.turn != nil {
+		// Queued: exactly one of release's hand-off and failRemaining's
+		// refusal arrives, even when the server is tearing down, so this
+		// wait cannot leak.
+		err = <-req.turn
+	}
+	if err == nil {
+		res, err = sess.dev.run(req)
+	}
 	s.stats.launches.Add(1)
-	if out.err != nil {
+	if err != nil {
 		s.stats.launchErrors.Add(1)
 	}
-	return out.res, out.err
+	return res, err
 }
 
 // buildRequest validates a spec against the catalog, the geometry caps, and
@@ -522,13 +530,12 @@ func (s *Server) buildRequest(sess *Session, spec LaunchSpec) (*launchReq, error
 		kernel:   k,
 		args:     args,
 		enqueued: time.Now(),
-		done:     make(chan launchOutcome, 1),
 	}, nil
 }
 
 // Drain performs the graceful half of shutdown: admission starts shedding
-// with ErrDraining, queued launches run to completion, and every worker
-// stops. If ctx expires first, the remaining work is hard-aborted (in-flight
+// with ErrDraining, queued launches run to completion, and Drain returns once
+// every granted launch has released its device. If ctx expires first, the remaining work is hard-aborted (in-flight
 // simulations cancel, queued requests fail) and Drain reports it.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
@@ -541,25 +548,25 @@ func (s *Server) Drain(ctx context.Context) error {
 	} else {
 		s.stop(fmt.Errorf("%w: drain deadline passed, aborting in-flight work", ErrDraining))
 	}
-	s.wg.Wait()
 	if !graceful {
 		return fmt.Errorf("drain cut short: %w", context.Cause(ctx))
 	}
 	return nil
 }
 
-// Close is the impatient Drain: admission stops, in-flight work aborts now.
+// Close is the impatient Drain: admission stops, in-flight work aborts now,
+// queued launches are refused, and Close returns once every granted launch
+// has released its device.
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
 	s.stop(ErrDraining)
-	s.wg.Wait()
 }
 
 // awaitQuiet polls until every device queue is empty and nothing is
-// in flight, or ctx expires. Polling (vs a condvar) keeps the hot enqueue /
-// execute paths free of drain bookkeeping; shutdown can afford 2 ms ticks.
+// in flight, or ctx expires. Polling (vs a condvar) keeps the hot acquire /
+// release paths free of drain bookkeeping; shutdown can afford 2 ms ticks.
 func (s *Server) awaitQuiet(ctx context.Context) bool {
 	tick := time.NewTicker(2 * time.Millisecond)
 	defer tick.Stop()

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -596,5 +597,194 @@ func TestLaunchSpecValidation(t *testing.T) {
 		if !errors.Is(err, ErrBadRequest) && !errors.Is(err, ErrNotFound) {
 			t.Errorf("case %d (%+v): want ErrBadRequest/ErrNotFound, got %v", i, spec, err)
 		}
+	}
+}
+
+// TestNewStartsNoGoroutine: launches run on their callers' goroutines, so a
+// server at any pool size owns no goroutine of its own.
+func TestNewStartsNoGoroutine(t *testing.T) {
+	for _, devices := range []int{1, 3, 8} {
+		cfg := testConfig()
+		cfg.Devices = devices
+		// A goroutine a previous test left behind may exit meanwhile, so
+		// only growth counts, and growth in every attempt.
+		grew := true
+		for attempt := 0; attempt < 3 && grew; attempt++ {
+			before := runtime.NumGoroutine()
+			srv, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			grew = runtime.NumGoroutine() > before
+			srv.Close()
+		}
+		if grew {
+			t.Fatalf("New with %d devices started goroutines", devices)
+		}
+	}
+}
+
+// assertReleased checks that no launch holds any device once Close or Drain
+// has returned, and that no device grants again.
+func assertReleased(t *testing.T, srv *Server, sess *Session) {
+	t.Helper()
+	if n := srv.Snapshot().Inflight; n != 0 {
+		t.Fatalf("%d launches still granted after stop returned", n)
+	}
+	for _, d := range srv.devs {
+		for _, mu := range []*sync.Mutex{&d.mu, &d.qmu} {
+			if !mu.TryLock() {
+				t.Fatalf("device %d mutex still held after stop returned", d.id)
+			}
+			mu.Unlock()
+		}
+	}
+	req := &launchReq{sess: sess}
+	if err := sess.dev.acquire(req); !errors.Is(err, ErrDraining) {
+		if err == nil && req.turn == nil {
+			sess.dev.release() // or the test's own Close waits for it forever
+		}
+		t.Fatalf("acquire after stop: want ErrDraining, got %v", err)
+	}
+}
+
+// TestCloseAndForcedDrainReleaseEveryGrant: Close and a forced Drain return
+// only after the launch holding the device has aborted and released it.
+func TestCloseAndForcedDrainReleaseEveryGrant(t *testing.T) {
+	for _, how := range []string{"close", "drain"} {
+		cfg := testConfig()
+		cfg.LaunchCycleCap = 1 << 40
+		cfg.CycleBudget = 1 << 40
+		cfg.MaxDeadline = time.Minute
+		cfg.DefaultDeadline = time.Minute
+		srv := newTestServer(t, cfg)
+		s := mustSession(t, srv, "t")
+		mustMalloc(t, srv, s.ID, "buf", 1<<20)
+		sess, err := srv.session(s.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		result := make(chan error, 1)
+		go func() {
+			_, err := srv.Launch(context.Background(), s.ID, LaunchSpec{
+				Kernel: "spin", Grid: 8, Block: 1024,
+				Args: []ArgSpec{Buf("buf"), Scalar(1 << 40)},
+			})
+			result <- err
+		}()
+		waitFor(t, "spin in flight", func() bool { return srv.stats.inflight.Load() == 1 })
+		if how == "close" {
+			srv.Close()
+		} else {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+			if err := srv.Drain(ctx); err == nil {
+				t.Fatal("forced drain should report being cut short")
+			}
+			cancel()
+		}
+		assertReleased(t, srv, sess)
+		if err := <-result; !errors.Is(err, ErrDraining) {
+			t.Fatalf("%s: aborted launch: want ErrDraining, got %v", how, err)
+		}
+	}
+}
+
+// TestQueuedRefusedAtCloseCountsAsLaunch: a request still queued when the
+// server stops is refused once, without running, and counts as one launch
+// and one launch error, not as a shed.
+func TestQueuedRefusedAtCloseCountsAsLaunch(t *testing.T) {
+	srv := newTestServer(t, testConfig())
+	s := mustSession(t, srv, "t")
+	mustMalloc(t, srv, s.ID, "buf", 4096)
+	d := srv.devs[0]
+
+	d.mu.Lock()
+	held := make(chan error, 1)
+	queued := make(chan error, 1)
+	go func() {
+		_, err := launchFill(srv, s.ID, 8)
+		held <- err
+	}()
+	waitFor(t, "device granted", func() bool { return srv.stats.inflight.Load() == 1 })
+	go func() {
+		_, err := launchFill(srv, s.ID, 8)
+		queued <- err
+	}()
+	waitFor(t, "second queued", func() bool { return d.queueLen() == 1 })
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case err := <-queued:
+		if !errors.Is(err, ErrDraining) || !strings.Contains(err.Error(), "server stopping") {
+			d.mu.Unlock()
+			t.Fatalf("queued launch at stop: want the ErrDraining refusal, got %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		d.mu.Unlock()
+		t.Fatal("queued launch was not refused while the device was held")
+	}
+	snap := srv.Snapshot()
+	if snap.Launches != 1 || snap.LaunchErrors != 1 || snap.ShedDraining != 0 || snap.Queued != 0 {
+		d.mu.Unlock()
+		t.Fatalf("refused launch counted as %+v, want 1 launch, 1 launch error, no shed", snap)
+	}
+	select {
+	case <-closed:
+		d.mu.Unlock()
+		t.Fatal("Close returned while a granted launch still held the device")
+	default:
+	}
+	d.mu.Unlock()
+	<-closed
+	// The stop's cancellation may or may not reach a run this short.
+	if err := <-held; err != nil && !errors.Is(err, ErrDraining) {
+		t.Fatalf("granted launch at stop: want success or ErrDraining, got %v", err)
+	}
+	if snap := srv.Snapshot(); snap.Launches != 2 || snap.Inflight != 0 {
+		t.Fatalf("after Close: %+v", snap)
+	}
+}
+
+// TestPanicHandsDeviceToQueued: a granted launch that panics still releases
+// the device, to the request queued behind it.
+func TestPanicHandsDeviceToQueued(t *testing.T) {
+	srv := newTestServer(t, testConfig())
+	s := mustSession(t, srv, "t")
+	mustMalloc(t, srv, s.ID, "buf", 4096)
+	d := srv.devs[0]
+	armPanic(d, "injected driver bug")
+
+	d.mu.Lock()
+	first := make(chan error, 1)
+	second := make(chan error, 1)
+	go func() {
+		_, err := launchFill(srv, s.ID, 8)
+		first <- err
+	}()
+	waitFor(t, "device granted", func() bool { return srv.stats.inflight.Load() == 1 })
+	go func() {
+		_, err := launchFill(srv, s.ID, 8)
+		second <- err
+	}()
+	waitFor(t, "second queued", func() bool { return d.queueLen() == 1 })
+	d.mu.Unlock()
+
+	for i, want := range []error{pool.ErrRunPanic, nil} {
+		select {
+		case err := <-[]chan error{first, second}[i]:
+			if !errors.Is(err, want) || (want == nil) != (err == nil) {
+				t.Fatalf("launch %d: want %v, got %v", i, want, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("launch %d never finished: the panicking launch did not hand the device over", i)
+		}
+	}
+	if snap := srv.Snapshot(); snap.Inflight != 0 || snap.Panics != 1 {
+		t.Fatalf("after the hand-off: %+v", snap)
 	}
 }

@@ -111,8 +111,8 @@ func (s *Session) cyclesRemaining() uint64 {
 // takeCycleBudget returns how many cycles the next launch may burn:
 // min(per-launch cap, the session's remainder). Zero means the tenant is
 // out of budget. Nothing is deducted here — chargeCycles deducts what the
-// run actually consumed (launches on one session are serialized by the
-// device worker, so there is no double-spend window).
+// run actually consumed (launches on one session are serialized by its
+// device's grant, so there is no double-spend window).
 func (s *Session) takeCycleBudget(launchCap uint64) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

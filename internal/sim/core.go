@@ -38,7 +38,6 @@ type warp struct {
 	shape  []regShape
 	shapes bool
 
-	readyAt   uint64
 	atBarrier bool
 	done      bool
 
@@ -82,8 +81,8 @@ type coreState struct {
 	// parallel to warps: sched[i] is warp i's next possible issue cycle,
 	// with done and at-barrier folded in as farFuture. selectWarp scans
 	// only this array (one cache line per eight warps) instead of chasing
-	// every warp struct; every mutation of readyAt/done/atBarrier keeps it
-	// in sync (see wake).
+	// every warp struct; every change to a warp's issue cycle, done or
+	// atBarrier keeps it in sync (see wake).
 	sched []uint64
 	// wgPool is the core's workgroup arena: retired shells (warp structs,
 	// register slabs, shared-memory backing) recycled by placeWorkgroup.
@@ -203,7 +202,7 @@ func (c *coreState) placeWorkgroup(r *kernelRun, wgID int, now uint64) {
 		w.wg, w.inWG, w.pc, w.active, w.exited = wg, wi, 0, mask, 0
 		w.code = l.Kernel.Code
 		w.stack = w.stack[:0]
-		w.readyAt, w.atBarrier, w.done = now, false, false
+		w.atBarrier, w.done = false, false
 		w.live = mask
 		w.sbLeft, w.memMask = 0, 0
 		w.ww, w.shapes = ww, !c.gpu.noSuperblocks
@@ -284,7 +283,7 @@ func (c *coreState) removeWorkgroup(wg *workgroup) {
 
 // issuePick is the outcome of one scheduler scan: the chosen warp (w == nil
 // when nothing can issue this cycle) and the wake bookkeeping the scan
-// computed for free — the earliest future readyAt, or lsuFreeAt for a ready
+// computed for free — the earliest future issue cycle, or lsuFreeAt for a ready
 // warp stalled behind the LSU.
 type issuePick struct {
 	idx  int
@@ -332,11 +331,10 @@ func (c *coreState) selectWarp(now uint64) issuePick {
 	return pick
 }
 
-// wake records the warp's next possible issue cycle in both the warp and the
-// scheduler's scan array. Transitions of done/atBarrier maintain the array
-// directly (farFuture while blocked).
+// wake records the warp's next possible issue cycle in the scheduler's scan
+// array. Transitions of done/atBarrier maintain the array directly
+// (farFuture while blocked).
 func (c *coreState) wake(w *warp, t uint64) {
-	w.readyAt = t
 	c.sched[w.slot] = t
 }
 

@@ -6,11 +6,10 @@ import "errors"
 // so long-lived callers (serving loops, fault campaigns) can classify
 // failures and keep going.
 var (
-	// ErrWatchdog marks a launch aborted by the kernel watchdog: either the
-	// cycle budget (Config.MaxCycles) was exhausted — the infinite-loop /
-	// stuck-warp case — or the simulator proved no resident warp can ever
-	// make progress again (barrier deadlock). The LaunchStats returned
-	// alongside it are a partial report up to the abort cycle.
+	// ErrWatchdog marks a launch aborted by the kernel watchdog: the cycle
+	// budget (Config.MaxCycles) was exhausted — the infinite-loop /
+	// stuck-warp case. The LaunchStats returned alongside it are a partial
+	// report up to the abort cycle.
 	ErrWatchdog = errors.New("sim: watchdog abort")
 
 	// ErrInvalidConfig marks a GPU configuration that cannot be

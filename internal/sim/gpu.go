@@ -69,10 +69,9 @@ type GPU struct {
 	// DESIGN.md "Event-driven scheduler" for the invariants.
 	wakes *wakeTimes
 	// occupied is one past the highest core that has held a warp during the
-	// current invocation: placeWorkgroup raises it, and each invocation
-	// starts it above any core that still holds warps. Every core at or
-	// above it is parked at farFuture, so stepSerial, nextEvent and
-	// deadlocked visit only the cores below it.
+	// current invocation: each invocation starts it at 0 and placeWorkgroup
+	// raises it. Every core at or above it is parked at farFuture, so
+	// stepSerial and nextEvent visit only the cores below it.
 	occupied int
 	// dispatchNeeded is set when a workgroup slot frees (retire, abort) or a
 	// launch starts; dispatch runs only then instead of every cycle.
@@ -485,7 +484,7 @@ func (g *GPU) RunConcurrentCtx(ctx context.Context, launches []*driver.Launch, m
 		}
 	}
 	g.wakes.reset()
-	g.resetOccupied()
+	g.occupied = 0
 	g.dispatchNeeded = false
 	g.dispatch(allowed)
 	// Parallel core stepping (Config.CoreParallel): phase-A workers live for
@@ -507,21 +506,12 @@ func (g *GPU) RunConcurrentCtx(ctx context.Context, launches []*driver.Launch, m
 		} else {
 			issued = g.stepSerial()
 		}
-		// Kernel watchdog: a run that exhausts the cycle budget — or can
-		// provably never make progress again (every resident warp parked at
-		// a barrier that will not release) — is aborted with a partial
-		// report instead of spinning forever.
-		if werr == nil {
-			switch {
-			case g.cfg.MaxCycles > 0 && g.now-t0 >= g.cfg.MaxCycles:
-				msg := fmt.Sprintf("watchdog: MaxCycles=%d exceeded", g.cfg.MaxCycles)
-				werr = fmt.Errorf("%w: %s", ErrWatchdog, msg)
-				g.abortUnfinished(runs, msg)
-			case !issued && g.deadlocked():
-				msg := "watchdog: barrier deadlock, no resident warp can progress"
-				werr = fmt.Errorf("%w: %s", ErrWatchdog, msg)
-				g.abortUnfinished(runs, msg)
-			}
+		// Kernel watchdog: a run that exhausts the cycle budget is aborted
+		// with a partial report instead of spinning forever.
+		if werr == nil && g.cfg.MaxCycles > 0 && g.now-t0 >= g.cfg.MaxCycles {
+			msg := fmt.Sprintf("watchdog: MaxCycles=%d exceeded", g.cfg.MaxCycles)
+			werr = fmt.Errorf("%w: %s", ErrWatchdog, msg)
+			g.abortUnfinished(runs, msg)
 		}
 		// Cancellation poll, next to the watchdog: a canceled context aborts
 		// every unfinished run with a partial report. The poll never mutates
@@ -619,27 +609,6 @@ func (g *GPU) abortUnfinished(runs []*kernelRun, msg string) {
 	}
 }
 
-// deadlocked reports whether the resident warp population can provably never
-// issue again: at least one warp is live and every live warp is parked at a
-// workgroup barrier. (A warp merely waiting on a latency or the LSU has a
-// future ready time and does not count.) Since barrier release is driven
-// only by other warps arriving or retiring, this state is permanent.
-func (g *GPU) deadlocked() bool {
-	stuck := false
-	for _, c := range g.cores[:g.occupied] {
-		for _, w := range c.warps {
-			if w.done {
-				continue
-			}
-			if !w.atBarrier {
-				return false
-			}
-			stuck = true
-		}
-	}
-	return stuck
-}
-
 // harvestBCU folds a core's per-kernel violation log into the run's stats.
 // Counter attribution happens at check time; only the violation records and
 // fault state need collecting here. The records are consumed, not copied:
@@ -700,19 +669,6 @@ func (g *GPU) nextEvent() uint64 {
 		return g.now + 1
 	}
 	return next
-}
-
-// resetOccupied starts an invocation's occupied mark above the highest core
-// that still holds warps. Only a run that panicked leaves any behind; they
-// are never woken again, but deadlocked must still see them.
-func (g *GPU) resetOccupied() {
-	g.occupied = 0
-	for id := len(g.cores) - 1; id >= 0; id-- {
-		if len(g.cores[id].warps) > 0 {
-			g.occupied = id + 1
-			return
-		}
-	}
 }
 
 // pruneAtomicBusy drops atomic-unit reservations that ended at or before the

@@ -228,7 +228,8 @@ func TestOccupancyGolden(t *testing.T) {
 
 // TestOccupiedMark pins the occupied-core mark itself: one past the highest
 // core that held a warp in the invocation, started afresh by every
-// invocation, and started above cores that a contained panic left warps on.
+// invocation, also at 0 when a contained panic left warps on a higher core
+// (they stay parked until a placement wakes them, which raises the mark).
 func TestOccupiedMark(t *testing.T) {
 	o := &occupancyRecorder{t: t}
 	dev := driver.NewDevice(28)
@@ -263,7 +264,7 @@ func TestOccupiedMark(t *testing.T) {
 	if n := len(gpu.cores[13].warps); n == 0 {
 		t.Fatal("the contained panic left no warps on core 13")
 	}
-	run(14, o.prep(dev, "vecadd", 1, 128, driver.ModeShield))
+	run(1, o.prep(dev, "vecadd", 1, 128, driver.ModeShield))
 
 	gpu.Reset()
 	if gpu.occupied != 0 {
